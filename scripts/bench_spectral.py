@@ -76,10 +76,8 @@ def bench_dim(dim: int, rounds: int, inner: int) -> dict:
     # correctness gate before timing anything
     for a, b in zip(ws.solve(rho), ref.solve_reference(rho)):
         assert np.array_equal(a, b), "workspace diverged from reference"
-    # let the stage auto-tuner sample its variants and lock in before
-    # the timed rounds (mirrors steady-state RD-loop behaviour); keep
-    # the reference path equally warm so the allocator state is paired
-    while any(v is None for v in ws.variants.values()):
+    # warm both paths equally so the allocator state is paired
+    for _ in range(3):
         ws.solve(rho)
         ref.solve_reference(rho)
 
@@ -214,8 +212,8 @@ def main() -> int:
                 "workspace is constrained to bit-identical output "
                 "(golden suite unchanged), which pins the transform "
                 "count to the reference's; the speedup comes from "
-                "scratch reuse, dispatch bypass, auto-tuned "
-                "layout/variant selection and denominator memoization, "
+                "scratch reuse, dispatch bypass and denominator "
+                "memoization, "
                 "and varies with host cache/allocator state"
             ),
         },

@@ -1,8 +1,8 @@
 """Regenerate the Measured tables in EXPERIMENTS.md from results/*.json.
 
-The measured Table I / Table II blocks are wrapped in
+The measured Table I / Table II / ECO / router blocks are wrapped in
 ``<!-- fill:NAME -->`` / ``<!-- /fill:NAME -->`` markers; this script
-recomputes each block's ratio table from the results files and
+recomputes each block from the results files and
 rewrites the text in between, so EXPERIMENTS.md can be refreshed after
 any bench rerun with ``python scripts/fill_experiments.py``.
 
@@ -116,6 +116,22 @@ def eco_table(path: str) -> str:
     return "\n".join(lines)
 
 
+def route_summary(path: str) -> str:
+    """Batched-vs-scalar router summary from ``results/BENCH_route.json``."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    s = doc["summary"]
+    names = ", ".join(f"`{name}`" for name in doc["designs"])
+    plural = "" if s["n_designs"] == 1 else "s"
+    exact = "true" if s["all_demand_maps_exact"] else "false"
+    return (
+        f"The committed run (scale {doc['scale']:g}, seed {doc['seed']}, "
+        f"{s['n_designs']} design{plural}: {names}) gives **geomean speedup "
+        f"{s['geomean_speedup']:.2f}x, min {s['min_speedup']:.2f}x, "
+        f"max {s['max_speedup']:.2f}x, `all_demand_maps_exact: {exact}`**."
+    )
+
+
 def main() -> int:
     """Recompute every measured block and rewrite EXPERIMENTS.md."""
     text = open(EXPERIMENTS).read()
@@ -133,6 +149,8 @@ def main() -> int:
                     label="Configuration"))
 
     text = fill_block(text, "eco", eco_table("results/eco_qor.json"))
+
+    text = fill_block(text, "route", route_summary("results/BENCH_route.json"))
 
     open(EXPERIMENTS, "w").write(text)
     print("EXPERIMENTS.md measured tables regenerated")

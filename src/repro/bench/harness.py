@@ -185,7 +185,7 @@ def bench_payload(
         }
         for outcome in outcomes
     }
-    payload = {"rows": rows, "profiles": profiles, "kernels": kernel_info()}
+    payload = {"rows": rows, "profiles": profiles}
     if metrics is not None and getattr(metrics, "enabled", False):
         from repro.utils.metrics import MetricsReport
 
@@ -193,23 +193,6 @@ def bench_payload(
     if extra:
         payload.update(extra)
     return payload
-
-
-def kernel_info() -> dict:
-    """Active kernel-backend record for bench payloads.
-
-    Captures the requested name (flag/env), the resolved backend with
-    its auto-tune decisions, and numba availability — enough to
-    attribute any speed difference between two bench runs to the
-    kernel layer.
-    """
-    from repro import kernels
-
-    return {
-        "requested": kernels.requested_backend(),
-        "backend": kernels.get_backend().describe(),
-        "numba_available": kernels.numba_available(),
-    }
 
 
 def write_bench_json(

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.congestion_field import CongestionField
 from repro.geometry.grid import Grid2D
-from repro.kernels import get_backend
 from repro.netlist.netlist import Netlist
 from repro.utils.contracts import CONTRACTS
 
@@ -96,9 +95,24 @@ def virtual_cell_positions(
     ).astype(np.int64)
     k = np.clip(k, 1, cfg.max_samples)
 
-    # Eq. (7)-(8): interior sampling, congestion lookup and per-net
-    # arg-max run in the active kernel backend
-    xv, yv, cbest = get_backend().netmove_virtual(x1, y1, x2, y2, k, congestion, grid)
+    # Eq. (7): proportional interior samples; rows with fewer samples
+    # than the max are masked out.
+    s_max = int(k.max())
+    steps = np.arange(1, s_max + 1)[None, :]  # (1, S)
+    valid = steps <= k[:, None]
+    t = steps / (k[:, None] + 1.0)
+    sx = x1[:, None] + t * (x2 - x1)[:, None]
+    sy = y1[:, None] + t * (y2 - y1)[:, None]
+
+    # Eq. (8): congestion at each sample, arg-max per net
+    ii, jj = grid.index_of(sx.ravel(), sy.ravel())
+    cval = congestion[ii, jj].reshape(n, s_max)
+    cval = np.where(valid, cval, -np.inf)
+    best = np.argmax(cval, axis=1)
+    rows = np.arange(n)
+    xv = sx[rows, best]
+    yv = sy[rows, best]
+    cbest = cval[rows, best]
     active = cbest > cfg.min_congestion
     return {
         "net_ids": two_pin,
@@ -184,18 +198,13 @@ def two_pin_net_gradients(
     perp_x = dot * nx
     perp_y = dot * ny
 
-    # Eq. (9): scale by L / (2 d_iv) per endpoint.  Both endpoints'
-    # deposits are concatenated (p1 block first) into one kernel-layer
-    # scatter; entry order matches the original sequential per-endpoint
-    # np.add.at calls, so the accumulated sums are bit-identical.
-    d1 = np.hypot(xv - x1, yv - y1)
-    scale1 = np.clip(length / (2.0 * np.maximum(d1, 1e-12)), 0.0, cfg.max_scale)
-    d2 = np.hypot(xv - x2, yv - y2)
-    scale2 = np.clip(length / (2.0 * np.maximum(d2, 1e-12)), 0.0, cfg.max_scale)
-    cells = np.concatenate((netlist.pin_cell[p1], netlist.pin_cell[p2]))
-    vx = np.concatenate((scale1 * perp_x, scale2 * perp_x))
-    vy = np.concatenate((scale1 * perp_y, scale2 * perp_y))
-    get_backend().scatter_add_pair(grad_x, grad_y, cells, vx, vy)
+    # Eq. (9): scale by L / (2 d_iv) per endpoint
+    for pins, xs, ys in ((p1, x1, y1), (p2, x2, y2)):
+        d = np.hypot(xv - xs, yv - ys)
+        scale = np.clip(length / (2.0 * np.maximum(d, 1e-12)), 0.0, cfg.max_scale)
+        cells = netlist.pin_cell[pins]
+        np.add.at(grad_x, cells, scale * perp_x)
+        np.add.at(grad_y, cells, scale * perp_y)
 
     grad_x[netlist.cell_fixed] = 0.0
     grad_y[netlist.cell_fixed] = 0.0

@@ -12,9 +12,7 @@ Implements the ePlace density model ingredients:
 
 Cells spanning few bins (after smoothing, standard cells span at most
 3x3) take a fully vectorized broadcast path; the handful of macros and
-large fixed blocks take an exact per-cell loop.  The vectorized overlap
-build dispatches through the pluggable kernel layer
-(:mod:`repro.kernels`, ``raster_overlaps``).
+large fixed blocks take an exact per-cell loop.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import math
 import numpy as np
 
 from repro.geometry.grid import Grid2D
-from repro.kernels import get_backend
 
 _SQRT2 = math.sqrt(2.0)
 _MAX_VECTOR_SPAN = 6  # cells spanning more bins than this go to the slow path
@@ -118,10 +115,8 @@ class CellRasterizer:
     def _build_small_overlaps(self):
         """Flattened bin indices and charge weights for the vectorized set.
 
-        Delegates the overlap build to the active kernel backend; the
-        reference backend is the original chunked di/dj loop moved
-        verbatim, so the entry order (di outer, dj inner, cells within)
-        is unchanged.
+        Entries are ordered di outer, dj inner, cells within; the
+        scatter/gather bincounts sum in that order.
         """
         ids = self._small_ids
         if len(ids) == 0:
@@ -131,26 +126,24 @@ class CellRasterizer:
         j0 = self._j0[ids]
         kx = int((self._i1[ids] - i0).max()) + 1
         ky = int((self._j1[ids] - j0).max()) + 1
-        bin_idx, weights, cell_of_entry = get_backend().raster_overlaps(
-            ids,
-            self._xlo[ids],
-            self._xhi[ids],
-            self._ylo[ids],
-            self._yhi[ids],
-            i0,
-            j0,
-            kx,
-            ky,
-            self._scale[ids],
-            g.region.xlo,
-            g.region.ylo,
-            g.dx,
-            g.dy,
-            g.nx,
-            g.ny,
-        )
-        self._small_cell_of_entry = cell_of_entry
-        return bin_idx, weights
+
+        idx_chunks = []
+        w_chunks = []
+        scale = self._scale[ids]
+        for di in range(kx):
+            lx = self._overlap_1d(
+                self._xlo[ids], self._xhi[ids], g.region.xlo, g.dx, i0, di
+            )
+            col = np.clip(i0 + di, 0, g.nx - 1)
+            for dj in range(ky):
+                ly = self._overlap_1d(
+                    self._ylo[ids], self._yhi[ids], g.region.ylo, g.dy, j0, dj
+                )
+                row = np.clip(j0 + dj, 0, g.ny - 1)
+                idx_chunks.append(col * g.ny + row)
+                w_chunks.append(lx * ly * scale)
+        self._small_cell_of_entry = np.tile(ids, kx * ky)
+        return np.concatenate(idx_chunks), np.concatenate(w_chunks)
 
     # ------------------------------------------------------------------
     def charge_map(self) -> np.ndarray:

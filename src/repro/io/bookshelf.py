@@ -111,7 +111,7 @@ def loads_design(text: str, source: str = "<string>") -> Netlist:
             if kind == "design":
                 name = tokens[1]
             elif kind == "die":
-                die = Rect(*(float(t) for t in tokens[1:5]))
+                die = Rect(*(float(tokens[k]) for k in range(1, 5)))
             elif kind == "rows":
                 row_height, site_width = float(tokens[1]), float(tokens[2])
             elif kind == "cell":
@@ -134,7 +134,7 @@ def loads_design(text: str, source: str = "<string>") -> Netlist:
             elif kind == "rail":
                 rails.append(
                     PGRailSpec(
-                        rect=Rect(*(float(t) for t in tokens[1:5])),
+                        rect=Rect(*(float(tokens[k]) for k in range(1, 5))),
                         horizontal=tokens[5] == "h",
                     )
                 )

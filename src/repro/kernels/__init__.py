@@ -1,37 +1,16 @@
-"""Pluggable kernel backends for the hot gradient paths.
+"""Constant kernel-identity record for the flow benchmark's provenance.
 
-Importing this package registers the ``reference``, ``fastnp`` and
-``numba`` backends; call sites fetch the active one with
-:func:`get_backend` and the CLI selects it via :func:`configure`
-(``--kernel-backend`` / ``REPRO_KERNEL_BACKEND``, default ``auto``).
-See :mod:`repro.kernels.base` for the protocol and selection rules.
+Every hot kernel has exactly one implementation, at its call site.  The
+only consumer of this module is ``perfbench/gate.py``: its
+``provenance()`` reports ``get_backend().name``.  Nothing in ``src/``
+calls it.
 """
 
-from repro.kernels import fastnp, numba_backend, reference  # noqa: F401  (registration)
-from repro.kernels.base import (
-    ENV_VAR,
-    TUNE_SAMPLES,
-    KernelBackend,
-    KernelTuner,
-    available_backends,
-    configure,
-    get_backend,
-    numba_available,
-    register_backend,
-    requested_backend,
-    reset,
-)
+from types import SimpleNamespace
 
-__all__ = [
-    "ENV_VAR",
-    "TUNE_SAMPLES",
-    "KernelBackend",
-    "KernelTuner",
-    "available_backends",
-    "configure",
-    "get_backend",
-    "numba_available",
-    "register_backend",
-    "requested_backend",
-    "reset",
-]
+_BACKEND = SimpleNamespace(name="numpy")
+
+
+def get_backend() -> SimpleNamespace:
+    """An object whose ``name`` is the constant ``"numpy"``."""
+    return _BACKEND

@@ -153,11 +153,14 @@ class PersistentQueue:
 
     # -- submission / lookup -------------------------------------------
     def submit(self, payload: dict, priority: int = 0,
-               job_id: str | None = None) -> QueueEntry:
+               job_id: str | None = None, prepare=None) -> QueueEntry:
         """Accept a job: assign a seq, persist, return the entry.
 
         An explicit ``job_id`` colliding with an existing entry raises
-        ``ValueError`` (the HTTP API turns that into a 409).
+        ``ValueError`` (the HTTP API turns that into a 409).  When
+        given, ``prepare(job_id)`` returns the payload to store in place
+        of ``payload``; it runs under the queue lock, so the scheduler
+        never sees the entry before its payload is complete.
         """
         with self._lock:
             seq = self._next_seq
@@ -166,6 +169,8 @@ class PersistentQueue:
                 job_id = f"job-{seq:06d}"
             elif job_id in self._entries:
                 raise ValueError(f"duplicate job id {job_id!r}")
+            if prepare is not None:
+                payload = prepare(job_id)
             entry = QueueEntry(
                 job_id=job_id, seq=seq, payload=payload, priority=priority
             )

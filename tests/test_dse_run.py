@@ -133,6 +133,20 @@ class TestServiceOverrides:
             "input": "x.bl", "overrides": {"bogus.knob": 1}}}
         with pytest.raises(ValueError, match="bad 'overrides'"):
             validate_job_payload(payload)
+        payload["request"]["overrides"] = {"kernel.backend": "fastnp"}
+        with pytest.raises(ValueError, match="kernel.backend"):
+            validate_job_payload(payload)
+
+    def test_payload_validation_rejects_unknown_fields(self):
+        from repro.service.runner import validate_job_payload
+
+        for kind in ("place", "route", "eco"):
+            payload = {"kind": kind, "request": {
+                "input": "x.bl", "baseline": "b.bl", "kernel_backend": "fastnp"}}
+            if kind != "eco":
+                del payload["request"]["baseline"]
+            with pytest.raises(ValueError, match="unknown request field.*kernel_backend"):
+                validate_job_payload(payload)
 
     def test_place_request_applies_overrides(self, tmp_path):
         from repro.io.bookshelf import save_design

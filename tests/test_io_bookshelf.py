@@ -65,8 +65,14 @@ class TestErrors:
             loads_design(text)
 
     def test_truncated_cell_line(self):
-        with pytest.raises(BookshelfParseError, match="too few fields"):
-            loads_design("die 0 0 4 4\ncell a 1 1\n")
+        for text, line_no in (
+            ("die 0 0 4 4\ncell a 1 1\n", 2),
+            ("die 0 0 4\n", 1),
+            ("die 0 0 4 4\nrail 0 0 4\n", 2),
+        ):
+            with pytest.raises(BookshelfParseError, match="too few fields") as info:
+                loads_design(text, source="cut.bl")
+            assert f"cut.bl:{line_no}" in str(info.value)
 
     def test_error_locates_line_and_content(self):
         with pytest.raises(BookshelfParseError) as info:

@@ -216,6 +216,9 @@ class TestValidation:
     def test_validate_event_ok(self):
         validate_event({"v": 1, "seq": 0, "kind": "run.start"})
         validate_event({"v": 1, "seq": 3, "kind": "unknown.kind", "extra": 1})
+        # retired kind still found in older v2 streams
+        validate_event({"v": 2, "seq": 1, "kind": "kernel.backend",
+                        "requested": "auto", "resolved": "reference"})
 
     @pytest.mark.parametrize("event,match", [
         ("not a dict", "not an object"),

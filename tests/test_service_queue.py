@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,26 @@ class TestPersistence:
         queue.submit({}, job_id="x")
         with pytest.raises(ValueError, match="duplicate"):
             queue.submit({}, job_id="x")
+
+    def test_prepared_payload_is_all_a_scheduler_sees(self, tmp_path):
+        """A scheduler polling during submission never gets the raw payload."""
+        queue = PersistentQueue(str(tmp_path / "q"))
+        seen = []
+        poller = threading.Thread(target=lambda: seen.append(queue.next_ready()))
+
+        def prepare(job_id):
+            poller.start()
+            poller.join(0.2)  # the poll waits on the queue lock meanwhile
+            assert poller.is_alive() and not seen
+            return {"request": {"out": f"{job_id}/placed.bl"}}
+
+        entry = queue.submit({"request": {}}, prepare=prepare)
+        poller.join(5.0)
+        assert not poller.is_alive()
+        assert seen[0] is entry
+        assert entry.payload == {"request": {"out": "job-000000/placed.bl"}}
+        with open(queue._path(entry.seq)) as fh:
+            assert json.load(fh)["payload"] == entry.payload
 
     def test_requeue_incomplete(self, tmp_path):
         """Only RUNNING entries return to QUEUED, flagged for resume."""
