@@ -1,10 +1,12 @@
 """Regenerate the Measured tables in EXPERIMENTS.md from results/*.json.
 
-The measured Table I / Table II / ECO / router blocks are wrapped in
-``<!-- fill:NAME -->`` / ``<!-- /fill:NAME -->`` markers; this script
-recomputes each block from the results files and
-rewrites the text in between, so EXPERIMENTS.md can be refreshed after
-any bench rerun with ``python scripts/fill_experiments.py``.
+The measured Table I / Table II / ECO / router / spectral blocks are
+wrapped in ``<!-- fill:NAME -->`` / ``<!-- /fill:NAME -->`` markers;
+this script recomputes each block from the results files
+(:func:`blocks`) and rewrites the text in between (:func:`render`), so
+EXPERIMENTS.md can be refreshed after any bench rerun with
+``python scripts/fill_experiments.py``.  ``tests/test_docs.py`` renders
+the same blocks in memory and fails when the committed file differs.
 
 Both result shapes are accepted: the bare row list the early harness
 wrote (``results/table1.json``) and the full ``repro bench --out``
@@ -25,9 +27,8 @@ sys.path.insert(
 
 from repro.evalrt.report import MetricRow, ratio_row  # noqa: E402
 
-EXPERIMENTS = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "EXPERIMENTS.md"
-)
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXPERIMENTS = os.path.join(REPO, "EXPERIMENTS.md")
 
 
 def load_rows(path: str) -> list:
@@ -132,27 +133,68 @@ def route_summary(path: str) -> str:
     )
 
 
+def _ms(value: float) -> str:
+    """Milliseconds with two decimals below 10 ms, one above."""
+    return f"{value:.2f} ms" if value < 10 else f"{value:.1f} ms"
+
+
+def spectral_table(path: str) -> str:
+    """Per-grid spectral solve table from ``results/BENCH_spectral.json``."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    host, spectral = doc["host"], doc["spectral"]
+    lines = [
+        f"Host: {host['cpu_count']} CPU, Python {host['python']}, "
+        f"numpy {host['numpy']}.",
+        "",
+        "| grid | ref solve | workspace solve | density | congestion | combined |",
+        "|---|---|---|---|---|---|",
+    ]
+    for row in spectral["per_dim"]:
+        lines.append(
+            f"| {row['dim']}² | {_ms(row['reference_solve_ms'])} "
+            f"| {_ms(row['workspace_solve_ms'])} "
+            f"| {row['density_speedup']:.2f}x | {row['congestion_speedup']:.2f}x "
+            f"| {row['combined_speedup']:.2f}x |"
+        )
+    lines.append(
+        f"\nCombined geomean **{spectral['combined_geomean_speedup']:.2f}x** "
+        f"(target {spectral['target_combined_speedup']:g}x)."
+    )
+    return "\n".join(lines)
+
+
+def blocks(root: str = REPO) -> dict:
+    """Body of every fill block, rendered from ``<root>/results``."""
+    def results(name: str) -> str:
+        return os.path.join(root, "results", name)
+
+    return {
+        "table1": ratio_table(
+            load_rows(results("table1.json")), "Ours",
+            keys=("DRWL", "#DRVias", "#DRVs", "PT", "RT"), bold="#DRVs"),
+        "table2": ratio_table(
+            load_rows(results("table2.json")), "+MCI+DC+DPA",
+            keys=("DRWL", "#DRVias", "#DRVs"), label="Configuration"),
+        "eco": eco_table(results("eco_qor.json")),
+        "route": route_summary(results("BENCH_route.json")),
+        "spectral": spectral_table(results("BENCH_spectral.json")),
+    }
+
+
+def render(text: str, root: str = REPO) -> str:
+    """``text`` with every fill block re-rendered from the results."""
+    for name, body in blocks(root).items():
+        text = fill_block(text, name, body)
+    return text
+
+
 def main() -> int:
     """Recompute every measured block and rewrite EXPERIMENTS.md."""
-    text = open(EXPERIMENTS).read()
-
-    t1 = load_rows("results/table1.json")
-    text = fill_block(
-        text, "table1",
-        ratio_table(t1, "Ours", keys=("DRWL", "#DRVias", "#DRVs", "PT", "RT"),
-                    bold="#DRVs"))
-
-    t2 = load_rows("results/table2.json")
-    text = fill_block(
-        text, "table2",
-        ratio_table(t2, "+MCI+DC+DPA", keys=("DRWL", "#DRVias", "#DRVs"),
-                    label="Configuration"))
-
-    text = fill_block(text, "eco", eco_table("results/eco_qor.json"))
-
-    text = fill_block(text, "route", route_summary("results/BENCH_route.json"))
-
-    open(EXPERIMENTS, "w").write(text)
+    with open(EXPERIMENTS) as fh:
+        text = fh.read()
+    with open(EXPERIMENTS, "w") as fh:
+        fh.write(render(text))
     print("EXPERIMENTS.md measured tables regenerated")
     return 0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.density.poisson import PoissonSolver
-from repro.density.rasterize import CellRasterizer
+from repro.density.rasterize import CellRasterizer, Footprint
 from repro.geometry.grid import Grid2D
 from repro.utils.contracts import CONTRACTS
 
@@ -72,6 +72,9 @@ class ElectrostaticSystem:
         if static_charge is not None and static_charge.shape != grid.shape:
             raise ValueError("static_charge shape mismatch")
         self.static_charge = static_charge
+        # size-only raster terms of the last solve, reused while the
+        # sizes stay the same (they change only with inflation)
+        self._footprint: Footprint | None = None
 
     @staticmethod
     def static_charge_from(
@@ -100,7 +103,10 @@ class ElectrostaticSystem:
         gradient, i.e. ``grad = -q E`` so that ``pos -= step * grad``
         moves cells downhill).
         """
-        raster = CellRasterizer(self.grid, x, y, width, height, smooth=True)
+        raster = CellRasterizer(
+            self.grid, x, y, width, height, footprint=self._footprint
+        )
+        self._footprint = raster.footprint
         charge = raster.charge_map()
         if self.static_charge is not None:
             charge = charge + self.static_charge

@@ -11,8 +11,18 @@ Implements the ePlace density model ingredients:
   ``F_i = q_i * average field over the cell footprint``.
 
 Cells spanning few bins (after smoothing, standard cells span at most
-3x3) take a fully vectorized broadcast path; the handful of macros and
-large fixed blocks take an exact per-cell loop.
+3x3) share one ``(kx, ky)`` stencil built in a single broadcast pass:
+per-cell x and y overlaps are computed once each and multiplied as
+``(kx, ky, n)`` arrays.  The handful of macros and large fixed blocks
+take an exact per-cell loop.
+
+A rasterizer is built per set of positions (the electrostatic system
+builds one per solve, and that build is part of the solve's own cost).
+The size-only terms live in a :class:`Footprint` that the next
+rasterizer of the same rectangles reuses, so they are recomputed only
+when the sizes change, i.e. when inflation or the filler shrink moves.
+Scatter, gather and total charge are bit-identical to the chunked
+di/dj build with bincount gather kept in ``tests/kernel_oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,10 +37,53 @@ _SQRT2 = math.sqrt(2.0)
 _MAX_VECTOR_SPAN = 6  # cells spanning more bins than this go to the slow path
 
 
+class Footprint:
+    """Size-only terms of a set of rectangles on a grid.
+
+    The smoothed half sizes and the charge-preserving scale depend on
+    the sizes alone.  A caller that rasterizes the same rectangles at
+    many positions keeps the :attr:`CellRasterizer.footprint` of one
+    rasterizer and hands it to the next, which rebuilds it only if the
+    sizes differ.
+    """
+
+    def __init__(
+        self, grid: Grid2D, width: np.ndarray, height: np.ndarray, smooth: bool
+    ) -> None:
+        # copies: :meth:`fits` compares against them, so a caller
+        # editing its arrays in place cannot get stale terms back
+        width = np.array(width, dtype=np.float64)
+        height = np.array(height, dtype=np.float64)
+        self.grid, self.width, self.height, self.smooth = grid, width, height, smooth
+        if smooth:
+            w_eff = np.maximum(width, _SQRT2 * grid.dx)
+            h_eff = np.maximum(height, _SQRT2 * grid.dy)
+        else:
+            w_eff = width
+            h_eff = height
+        area = width * height
+        eff_area = w_eff * h_eff
+        # charge-preserving density scale
+        self.scale = np.where(eff_area > 0, area / np.maximum(eff_area, 1e-300), 0.0)
+        self.half_w = 0.5 * w_eff
+        self.half_h = 0.5 * h_eff
+
+    def fits(
+        self, grid: Grid2D, width: np.ndarray, height: np.ndarray, smooth: bool
+    ) -> bool:
+        """Whether these terms are the ones ``(grid, width, height, smooth)`` give."""
+        return (
+            grid == self.grid
+            and smooth == self.smooth
+            and np.array_equal(width, self.width)
+            and np.array_equal(height, self.height)
+        )
+
+
 class CellRasterizer:
     """Overlap structure of a set of rectangles against a grid.
 
-    Build once per set of positions/sizes, then call :meth:`scatter`
+    Build once per set of positions/sizes, then call :meth:`charge_map`
     and :meth:`gather` any number of times.
 
     Parameters
@@ -44,6 +97,9 @@ class CellRasterizer:
     smooth:
         Apply the ePlace small-cell stretch (default True).  Disable
         for exact-area accounting (e.g. utilization maps).
+    footprint:
+        The :attr:`footprint` of an earlier rasterizer of the same
+        rectangles; reused when it fits the sizes, rebuilt otherwise.
     """
 
     def __init__(
@@ -54,36 +110,24 @@ class CellRasterizer:
         width: np.ndarray,
         height: np.ndarray,
         smooth: bool = True,
+        footprint: Footprint | None = None,
     ) -> None:
         self.grid = grid
-        self.n = len(x)
+        if footprint is None or not footprint.fits(grid, width, height, smooth):
+            footprint = Footprint(grid, width, height, smooth)
+        self.footprint = footprint
+        self.n = len(footprint.width)
+        self._scale = footprint.scale
+
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
-        width = np.asarray(width, dtype=np.float64)
-        height = np.asarray(height, dtype=np.float64)
-
-        if smooth:
-            w_eff = np.maximum(width, _SQRT2 * grid.dx)
-            h_eff = np.maximum(height, _SQRT2 * grid.dy)
-        else:
-            w_eff = width
-            h_eff = height
-        area = width * height
-        eff_area = w_eff * h_eff
-        # charge-preserving density scale
-        self._scale = np.where(eff_area > 0, area / np.maximum(eff_area, 1e-300), 0.0)
-
-        xlo = x - 0.5 * w_eff
-        xhi = x + 0.5 * w_eff
-        ylo = y - 0.5 * h_eff
-        yhi = y + 0.5 * h_eff
         # clip to the region so off-die parts are not dropped silently,
         # they are squeezed to the boundary bins by the clip below.
         r = grid.region
-        xlo = np.clip(xlo, r.xlo, r.xhi)
-        xhi = np.clip(xhi, r.xlo, r.xhi)
-        ylo = np.clip(ylo, r.ylo, r.yhi)
-        yhi = np.clip(yhi, r.ylo, r.yhi)
+        xlo = np.clip(x - footprint.half_w, r.xlo, r.xhi)
+        xhi = np.clip(x + footprint.half_w, r.xlo, r.xhi)
+        ylo = np.clip(y - footprint.half_h, r.ylo, r.yhi)
+        yhi = np.clip(y + footprint.half_h, r.ylo, r.yhi)
         self._xlo, self._xhi, self._ylo, self._yhi = xlo, xhi, ylo, yhi
 
         eps = 1e-12
@@ -115,35 +159,35 @@ class CellRasterizer:
     def _build_small_overlaps(self):
         """Flattened bin indices and charge weights for the vectorized set.
 
-        Entries are ordered di outer, dj inner, cells within; the
-        scatter/gather bincounts sum in that order.
+        One broadcast pass: the x overlaps ``(kx, n)`` and y overlaps
+        ``(ky, n)`` are computed once each and combined as ``(kx, ky,
+        n)`` arrays flattened in C order, i.e. entries are ordered di
+        outer, dj inner, cells within; the scatter bincount and the
+        row sum of :meth:`gather` add in that order.
         """
         ids = self._small_ids
         if len(ids) == 0:
             return np.empty(0, dtype=np.int64), np.empty((0,), dtype=np.float64)
         g = self.grid
-        i0 = self._i0[ids]
-        j0 = self._j0[ids]
-        kx = int((self._i1[ids] - i0).max()) + 1
-        ky = int((self._j1[ids] - j0).max()) + 1
+        r = g.region
+        # all cells small (the common case): views instead of gathers
+        sub = slice(None) if len(ids) == self.n else ids
+        i0 = self._i0[sub]
+        j0 = self._j0[sub]
+        kx = int((self._i1[sub] - i0).max()) + 1
+        ky = int((self._j1[sub] - j0).max()) + 1
 
-        idx_chunks = []
-        w_chunks = []
-        scale = self._scale[ids]
-        for di in range(kx):
-            lx = self._overlap_1d(
-                self._xlo[ids], self._xhi[ids], g.region.xlo, g.dx, i0, di
-            )
-            col = np.clip(i0 + di, 0, g.nx - 1)
-            for dj in range(ky):
-                ly = self._overlap_1d(
-                    self._ylo[ids], self._yhi[ids], g.region.ylo, g.dy, j0, dj
-                )
-                row = np.clip(j0 + dj, 0, g.ny - 1)
-                idx_chunks.append(col * g.ny + row)
-                w_chunks.append(lx * ly * scale)
-        self._small_cell_of_entry = np.tile(ids, kx * ky)
-        return np.concatenate(idx_chunks), np.concatenate(w_chunks)
+        di = np.arange(kx)[:, None]
+        dj = np.arange(ky)[:, None]
+        lx = self._overlap_1d(self._xlo[sub], self._xhi[sub], r.xlo, g.dx, i0, di)
+        ly = self._overlap_1d(self._ylo[sub], self._yhi[sub], r.ylo, g.dy, j0, dj)
+        col = np.clip(i0 + di, 0, g.nx - 1)
+        col *= g.ny
+        row = np.clip(j0 + dj, 0, g.ny - 1)
+        idx = col[:, None, :] + row[None, :, :]
+        weights = lx[:, None, :] * ly[None, :, :]
+        weights *= self._scale[sub]
+        return idx.reshape(-1), weights.reshape(-1)
 
     # ------------------------------------------------------------------
     def charge_map(self) -> np.ndarray:
@@ -188,15 +232,23 @@ class CellRasterizer:
         g = self.grid
         if field.shape != g.shape:
             raise ValueError(f"field shape {field.shape} != grid {g.shape}")
-        if len(self._bin_idx):
-            flat = field.reshape(-1)
-            out = np.bincount(
-                self._small_cell_of_entry,
-                weights=self._weights * flat[self._bin_idx],
-                minlength=self.n,
-            )
-        else:
+        ids = self._small_ids
+        if len(ids) == 0:
             out = np.zeros(self.n, dtype=np.float64)
+        else:
+            # per-entry products as (stencil rows, cells), summed row by
+            # row from zero: the addition order of a bincount over the
+            # entries
+            vals = np.take(field.reshape(-1), self._bin_idx)
+            vals *= self._weights
+            acc = np.zeros(len(ids), dtype=np.float64)
+            for row in vals.reshape(-1, len(ids)):
+                acc += row
+            if len(ids) == self.n:
+                out = acc
+            else:
+                out = np.zeros(self.n, dtype=np.float64)
+                out[ids] = acc
         for cid in self._large_ids:
             i, j, w = self._cell_bin_overlaps(cid)
             out[cid] = float((w * field[np.ix_(i, j)]).sum())

@@ -124,6 +124,21 @@ class GlobalPlacer:
         self.filler_w, self.filler_h = fw, fh
         self.n_fill = len(fx)
 
+        # clamp bounds of every entry: cell sizes are immutable on a
+        # netlist, so these are the bounds Netlist.clamp_to_die would
+        # recompute on every call
+        die = netlist.die
+        half_w = netlist.cell_width[self.mv_ids] * 0.5
+        half_h = netlist.cell_height[self.mv_ids] * 0.5
+        self._cell_lo_x = die.xlo + half_w
+        self._cell_hi_x = np.maximum(die.xhi - half_w, self._cell_lo_x)
+        self._cell_lo_y = die.ylo + half_h
+        self._cell_hi_y = np.maximum(die.yhi - half_h, self._cell_lo_y)
+        self._fill_lo_x = die.xlo + fw / 2
+        self._fill_hi_x = die.xhi - fw / 2
+        self._fill_lo_y = die.ylo + fh / 2
+        self._fill_hi_y = die.yhi - fh / 2
+
         self.system = ElectrostaticSystem(
             self.grid, cfg.target_density, static_charge=self.fixed_charge
         )
@@ -178,21 +193,14 @@ class GlobalPlacer:
         self._clamp_entries()
 
     def _clamp_entries(self) -> None:
-        self.netlist.clamp_to_die()
+        """Clamp movable cells and fillers into the die (bounds cached)."""
+        nl = self.netlist
+        ids = self.mv_ids
+        nl.x[ids] = np.clip(nl.x[ids], self._cell_lo_x, self._cell_hi_x)
+        nl.y[ids] = np.clip(nl.y[ids], self._cell_lo_y, self._cell_hi_y)
         if self.n_fill:
-            die = self.netlist.die
-            np.clip(
-                self.filler_x,
-                die.xlo + self.filler_w / 2,
-                die.xhi - self.filler_w / 2,
-                out=self.filler_x,
-            )
-            np.clip(
-                self.filler_y,
-                die.ylo + self.filler_h / 2,
-                die.yhi - self.filler_h / 2,
-                out=self.filler_y,
-            )
+            np.clip(self.filler_x, self._fill_lo_x, self._fill_hi_x, out=self.filler_x)
+            np.clip(self.filler_y, self._fill_lo_y, self._fill_hi_y, out=self.filler_y)
 
     # ------------------------------------------------------------------
     # objective pieces

@@ -73,6 +73,13 @@ class _WAStructure:
         for col in range(1, int(width.max(initial=1))):
             ids = np.flatnonzero(width > col)
             self.columns.append((ids, safe[ids] + col))
+        # empty nets trailing the last non-empty one clamp its end to
+        # m - 1, cutting its last pin from the sweep; WA only shifts by
+        # the max/min, but HPWL (hpwl.py) must add that pin back
+        last = int(np.flatnonzero(self.degrees)[-1]) if m else -1
+        self.clipped_net = (
+            last if 0 <= last < self.n_nets - 1 and self.degrees[last] >= 2 else -1
+        )
         self.valid = self.degrees >= 2
         self.valid_seg = self.valid[self.seg]
         # m-sized scratch: coordinate gather, shifted exps, two temps,

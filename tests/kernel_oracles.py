@@ -3,10 +3,13 @@
 Two kinds:
 
 * **restructured-kernel oracles** -- the plain numpy formulation a
-  kernel was restructured from (:func:`axis_wa`), kept verbatim as
-  ground truth.  The agreement tests swap it in at its call site with
-  :func:`wa_oracle` and require ``atol=0`` agreement of the public
-  function's output;
+  kernel was restructured from, kept verbatim as ground truth: the WA
+  axis pass (:func:`axis_wa`), the chunked di/dj raster stencil and its
+  bincount gather (:func:`small_overlaps`, :func:`gather`) and the
+  ``reduceat`` HPWL (:func:`hpwl_per_net`).  The agreement tests swap
+  them in at their call sites (:func:`wa_oracle`,
+  :func:`raster_oracle`) or call them side by side, and require
+  ``atol=0`` agreement of the public function's output;
 * **loop oracles** -- one-item-at-a-time formulations of the vectorized
   kernels (charge rasterization, Alg. 1 virtual cells and gradients,
   Alg. 2 multi-pin selection, the router's bend search) written
@@ -20,10 +23,12 @@ Both are used by ``tests/test_kernel_oracles.py`` and
 
 from __future__ import annotations
 
+import contextlib
 from unittest import mock
 
 import numpy as np
 
+from repro.density.rasterize import CellRasterizer
 from repro.wirelength import wa
 
 
@@ -90,6 +95,99 @@ def _axis_wa_at_call_site(coords, struct, gamma):
 def wa_oracle():
     """Context manager routing ``wa_wirelength_and_grad`` through :func:`axis_wa`."""
     return mock.patch.object(wa, "_axis_wa", _axis_wa_at_call_site)
+
+
+def small_overlaps(raster):
+    """Chunked di/dj form of ``CellRasterizer._build_small_overlaps``.
+
+    Entries are ordered di outer, dj inner, cells within; the y overlap
+    is recomputed for every (di, dj) chunk.  Also records the cell of
+    every entry for :func:`gather`.
+    """
+    ids = raster._small_ids
+    if len(ids) == 0:
+        return np.empty(0, dtype=np.int64), np.empty((0,), dtype=np.float64)
+    g = raster.grid
+    i0 = raster._i0[ids]
+    j0 = raster._j0[ids]
+    kx = int((raster._i1[ids] - i0).max()) + 1
+    ky = int((raster._j1[ids] - j0).max()) + 1
+
+    idx_chunks = []
+    w_chunks = []
+    scale = raster._scale[ids]
+    for di in range(kx):
+        lx = raster._overlap_1d(
+            raster._xlo[ids], raster._xhi[ids], g.region.xlo, g.dx, i0, di
+        )
+        col = np.clip(i0 + di, 0, g.nx - 1)
+        for dj in range(ky):
+            ly = raster._overlap_1d(
+                raster._ylo[ids], raster._yhi[ids], g.region.ylo, g.dy, j0, dj
+            )
+            row = np.clip(j0 + dj, 0, g.ny - 1)
+            idx_chunks.append(col * g.ny + row)
+            w_chunks.append(lx * ly * scale)
+    raster._small_cell_of_entry = np.tile(ids, kx * ky)
+    return np.concatenate(idx_chunks), np.concatenate(w_chunks)
+
+
+def gather(raster, field):
+    """``CellRasterizer.gather`` as one bincount over the entries."""
+    g = raster.grid
+    if field.shape != g.shape:
+        raise ValueError(f"field shape {field.shape} != grid {g.shape}")
+    if len(raster._bin_idx):
+        flat = field.reshape(-1)
+        out = np.bincount(
+            raster._small_cell_of_entry,
+            weights=raster._weights * flat[raster._bin_idx],
+            minlength=raster.n,
+        )
+    else:
+        out = np.zeros(raster.n, dtype=np.float64)
+    for cid in raster._large_ids:
+        i, j, w = raster._cell_bin_overlaps(cid)
+        out[cid] = float((w * field[np.ix_(i, j)]).sum())
+    return out
+
+
+@contextlib.contextmanager
+def raster_oracle():
+    """Context manager routing :class:`CellRasterizer` through
+    :func:`small_overlaps` and :func:`gather`."""
+    with mock.patch.object(CellRasterizer, "_build_small_overlaps", small_overlaps), \
+            mock.patch.object(CellRasterizer, "gather", gather):
+        yield
+
+
+def hpwl_per_net(netlist, net_weights=None) -> np.ndarray:
+    """Per-net HPWL via ``np.{maximum,minimum}.reduceat``.
+
+    The reduceat runs over the starts of the non-empty nets only: they
+    partition the net-sorted pins exactly, because empty nets own no
+    pins.
+    """
+    if netlist.n_nets == 0:
+        return np.zeros(0, dtype=np.float64)
+    px, py = netlist.pin_positions()
+    order = netlist.net_pin_order
+    starts = netlist.net_pin_starts[:-1]
+    degrees = netlist.net_degrees()
+
+    ox = px[order]
+    oy = py[order]
+    wl = np.zeros(netlist.n_nets, dtype=np.float64)
+    nonempty = degrees > 0
+    if nonempty.any():
+        idx = starts[nonempty]
+        xspan = np.maximum.reduceat(ox, idx) - np.minimum.reduceat(ox, idx)
+        yspan = np.maximum.reduceat(oy, idx) - np.minimum.reduceat(oy, idx)
+        wl[nonempty] = xspan + yspan
+    wl[degrees < 2] = 0.0
+    if net_weights is not None:
+        wl = wl * net_weights
+    return wl
 
 
 def exact(got, want) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -214,14 +215,26 @@ class TestFillExperiments:
             fill_experiments.fill_block(text, "absent", "x")
 
     def test_experiments_md_is_in_sync(self, fill_experiments):
-        """Committed EXPERIMENTS.md matches a fresh regeneration."""
-        text = open(fill_experiments.EXPERIMENTS).read()
-        t1 = fill_experiments.load_rows(os.path.join(REPO, "results",
-                                                     "table1.json"))
-        body = fill_experiments.ratio_table(
-            t1, "Ours", keys=("DRWL", "#DRVias", "#DRVs", "PT", "RT"),
-            bold="#DRVs")
-        assert fill_experiments.fill_block(text, "table1", body) == text
-        route = fill_experiments.route_summary(
-            os.path.join(REPO, "results", "BENCH_route.json"))
-        assert fill_experiments.fill_block(text, "route", route) == text
+        """Every fill block of the committed EXPERIMENTS.md equals its
+        rendering from the committed results/*.json, so a hand edit
+        inside a block (or a result file committed without re-running
+        scripts/fill_experiments.py) fails here."""
+        with open(fill_experiments.EXPERIMENTS) as fh:
+            text = fh.read()
+        markers = re.findall(r"<!-- fill:([\w-]+) -->", text)
+        rendered = fill_experiments.blocks(REPO)
+        assert sorted(markers) == sorted(rendered)
+        for name, body in rendered.items():
+            assert fill_experiments.fill_block(text, name, body) == text, (
+                f"EXPERIMENTS.md fill:{name} is stale or hand-edited; "
+                "run python scripts/fill_experiments.py"
+            )
+
+    def test_spectral_block_renders_every_grid(self, fill_experiments):
+        body = fill_experiments.spectral_table(
+            os.path.join(REPO, "results", "BENCH_spectral.json"))
+        with open(os.path.join(REPO, "results", "BENCH_spectral.json")) as fh:
+            dims = [r["dim"] for r in json.load(fh)["spectral"]["per_dim"]]
+        for dim in dims:
+            assert f"| {dim}² |" in body
+        assert "Combined geomean **" in body

@@ -1,9 +1,10 @@
 """Hot kernels agree with their oracles from :mod:`tests.kernel_oracles`.
 
-The WA tests run the public call site twice on one frozen scene: once
-as shipped and once with the kernel swapped for its plain-numpy oracle.
-The outputs must be equal at ``atol=0`` -- the golden suite and the
-end-to-end determinism test rely on it.
+The WA, raster-stencil and HPWL tests run the public call site twice
+on one frozen scene: once as shipped and once with the kernel swapped
+for the plain-numpy form it was restructured from.  The outputs must be
+equal at ``atol=0`` -- the golden suite and the end-to-end determinism
+test rely on it.
 
 The raster, net-moving, multi-pin and router tests compare each
 vectorized kernel, through its public entry point, with a loop oracle
@@ -27,16 +28,21 @@ from repro.core.netmove import (
     two_pin_net_gradients,
     virtual_cell_positions,
 )
-from repro.density.rasterize import CellRasterizer
-from repro.geometry import Grid2D
+from repro.density.electrostatic import ElectrostaticSystem
+from repro.density.rasterize import _MAX_VECTOR_SPAN, CellRasterizer
+from repro.geometry import Grid2D, Rect
+from repro.netlist import CellSpec, Netlist, NetSpec, PinSpec
 from repro.place.initial import initial_placement
 from repro.route.patterns import PatternRouter
 from repro.synth import toy_design
+from repro.wirelength.hpwl import hpwl_per_net
 from repro.wirelength.wa import wa_wirelength_and_grad
+from tests import kernel_oracles
 from tests.kernel_oracles import (
     best_pattern_cost,
     exact,
     multi_pin_selection,
+    raster_oracle,
     raster_weights,
     two_pin_gradients,
     virtual_cells,
@@ -91,6 +97,181 @@ class TestWirelengthOracle:
         assert got[0] == want[0]
         assert exact(got[1], want[1])
         assert exact(got[2], want[2])
+
+
+def _mixed_cells(seed, grid, n=60):
+    """Rectangles exercising every branch of the raster stencil.
+
+    Sub-bin cells (smoothed to sqrt(2) bins, so straddling 2 or 3 bins
+    depending on position), wide-short cells (``kx != ky``), cells hanging
+    off every die edge, and two macros wider than ``_MAX_VECTOR_SPAN``
+    bins next to the small ones.
+    """
+    rng = np.random.default_rng(seed)
+    r = grid.region
+    x = rng.uniform(r.xlo, r.xhi, n)
+    y = rng.uniform(r.ylo, r.yhi, n)
+    w = rng.uniform(0.1, 1.0, n) * grid.dx
+    h = rng.uniform(0.1, 1.0, n) * grid.dy
+    w[: n // 4] = rng.uniform(2.5, 4.5, n // 4) * grid.dx
+    x[n // 4 : n // 2] = rng.choice([r.xlo, r.xhi], n // 4) + rng.normal(0, grid.dx, n // 4)
+    y[n // 3 : n // 2] = rng.choice([r.ylo, r.yhi], n // 2 - n // 3)
+    big = (_MAX_VECTOR_SPAN + 2) * max(grid.dx, grid.dy)
+    x[-2:], y[-2:] = r.xlo + 0.4 * r.width, r.ylo + 0.5 * r.height
+    w[-2:], h[-2:] = big, (big, 0.5 * grid.dy)
+    return x, y, w, h
+
+
+MIXED_GRIDS = [
+    pytest.param((Rect(0, 0, 16, 8), 32, 16), id="square-bins"),
+    pytest.param((Rect(-3, 2, 9, 20), 10, 24), id="offset-origin"),
+    pytest.param((Rect(0, 0, 40, 10), 16, 16), id="wide-bins"),
+]
+
+
+def _raster_outputs(grid, x, y, w, h, smooth):
+    raster = CellRasterizer(grid, x, y, w, h, smooth=smooth)
+    field = np.cos(np.arange(grid.nx * grid.ny, dtype=float)).reshape(grid.shape)
+    return raster, (raster.charge_map(), raster.gather(field), raster.total_charge())
+
+
+def _assert_raster_exact(got, want):
+    assert exact(got[0], want[0])
+    assert exact(got[1], want[1])
+    assert got[2] == want[2]
+
+
+class TestRasterStencilOracle:
+    """The broadcast stencil and row-sum gather vs the chunked di/dj
+    build and bincount gather, at ``atol=0``."""
+
+    @pytest.mark.parametrize("smooth", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("geometry", MIXED_GRIDS)
+    def test_mixed_scene(self, geometry, seed, smooth):
+        grid = Grid2D(*geometry)
+        cells = _mixed_cells(seed, grid)
+        with raster_oracle():
+            ref, want = _raster_outputs(grid, *cells, smooth)
+        got_raster, got = _raster_outputs(grid, *cells, smooth)
+        assert len(got_raster._large_ids) == 2
+        spans_x = got_raster._i1 - got_raster._i0
+        spans_y = got_raster._j1 - got_raster._j0
+        small = got_raster._small_ids
+        # small cells straddle different bin counts (2 vs 3 when
+        # smoothed), and the stencil is wider than it is tall
+        assert len(np.unique(spans_y[small])) >= 2
+        assert spans_x[small].max() != spans_y[small].max()
+        assert exact(got_raster._bin_idx, ref._bin_idx)
+        assert exact(got_raster._weights, ref._weights)
+        _assert_raster_exact(got, want)
+
+    def test_toy_design(self, scene):
+        nl, grid = scene["netlist"], scene["grid"]
+        args = (grid, nl.x, nl.y, nl.cell_width, nl.cell_height, True)
+        with raster_oracle():
+            _, want = _raster_outputs(*args)
+        _, got = _raster_outputs(*args)
+        _assert_raster_exact(got, want)
+
+    def test_empty_input(self):
+        grid = Grid2D(Rect(0, 0, 16, 8), 32, 16)
+        z = np.zeros(0)
+        with raster_oracle():
+            _, want = _raster_outputs(grid, z, z, z, z, True)
+        _, got = _raster_outputs(grid, z, z, z, z, True)
+        _assert_raster_exact(got, want)
+        assert got[1].shape == (0,)
+
+    def test_footprint_reuse_matches_fresh_build(self):
+        """A rasterizer handed an earlier footprint equals a fresh one bit
+        for bit, and reuses the footprint only while the sizes match."""
+        grid = Grid2D(Rect(0, 0, 16, 8), 32, 16)
+        x, y, w, h = _mixed_cells(3, grid)
+        prev = CellRasterizer(grid, x, y, w, h)
+        field = np.sin(np.arange(grid.nx * grid.ny, dtype=float)).reshape(grid.shape)
+        for step, (sw, sh) in enumerate([(1.0, 1.0), (1.0, 1.0), (1.3, 0.8)]):
+            x2, y2 = x + 0.37 * (step + 1), y - 0.21 * step
+            w2, h2 = w * sw, h * sh
+            raster = CellRasterizer(grid, x2, y2, w2, h2, footprint=prev.footprint)
+            assert (raster.footprint is prev.footprint) == (sw == sh == 1.0)
+            fresh = CellRasterizer(grid, x2, y2, w2, h2)
+            assert exact(raster.charge_map(), fresh.charge_map())
+            assert exact(raster.gather(field), fresh.gather(field))
+            assert raster.total_charge() == fresh.total_charge()
+            prev = raster
+
+    def test_footprint_rebuilt_on_any_mismatch(self):
+        grid = Grid2D(Rect(0, 0, 16, 8), 32, 16)
+        x, y, w, h = _mixed_cells(4, grid)
+        fp = CellRasterizer(grid, x, y, w, h).footprint
+        other_grid = Grid2D(Rect(0, 0, 16, 8), 16, 16)
+        assert CellRasterizer(grid, x, y, w, h, smooth=False, footprint=fp).footprint is not fp
+        assert CellRasterizer(other_grid, x, y, w, h, footprint=fp).footprint is not fp
+        # an in-place edit of the caller's sizes is seen: the footprint
+        # keeps its own copy
+        w *= 1.5
+        raster = CellRasterizer(grid, x, y, w, h, footprint=fp)
+        assert raster.footprint is not fp
+        assert exact(raster.charge_map(), CellRasterizer(grid, x, y, w, h).charge_map())
+
+    def test_system_reuse_matches_fresh_system(self, scene):
+        """Successive solves on one system equal a fresh system's solve."""
+        nl, grid = scene["netlist"], scene["grid"]
+        reused = ElectrostaticSystem(grid)
+        reused.solve(nl.x, nl.y, nl.cell_width, nl.cell_height)
+        x2, y2 = nl.x + 0.3, nl.y - 0.2
+        got = reused.solve(x2, y2, nl.cell_width, nl.cell_height)
+        want = ElectrostaticSystem(grid).solve(x2, y2, nl.cell_width, nl.cell_height)
+        for name in ("density", "potential", "grad_x", "grad_y"):
+            assert exact(getattr(got, name), getattr(want, name))
+        assert got.energy == want.energy and got.overflow == want.overflow
+
+
+def _hpwl_netlist(trailing_empty: int):
+    """Nets of degree 0 and 1 between real ones, ending in a 3-pin net
+    followed by ``trailing_empty`` empty nets."""
+    rng = np.random.default_rng(trailing_empty)
+    die = Rect(0.0, 0.0, 20.0, 20.0)
+    cells = [
+        CellSpec(f"c{k}", 1.0, 1.0, x=float(rng.uniform(0, 20)), y=float(rng.uniform(0, 20)))
+        for k in range(10)
+    ]
+    nets = [
+        NetSpec("empty_head", []),
+        NetSpec("a", [PinSpec("c0", 0.2, 0.1), PinSpec("c1"), PinSpec("c2", -0.3, 0.0)]),
+        NetSpec("lone", [PinSpec("c3")]),
+        NetSpec("empty_mid", []),
+        NetSpec("b", [PinSpec("c4"), PinSpec("c5", 0.1, 0.4)]),
+        NetSpec("same", [PinSpec("c6"), PinSpec("c6", 0.25, -0.25)]),
+        NetSpec("end", [PinSpec("c7"), PinSpec("c8"), PinSpec("c9", 0.3, 0.3)]),
+    ]
+    nets += [NetSpec(f"empty_tail{k}", []) for k in range(trailing_empty)]
+    return Netlist.from_specs("hpwl", die, cells, nets)
+
+
+class TestHpwlOracle:
+    """The column-sweep HPWL vs ``reduceat``, at ``atol=0``."""
+
+    @pytest.mark.parametrize("trailing_empty", [0, 1, 3])
+    def test_degenerate_nets(self, trailing_empty):
+        nl = _hpwl_netlist(trailing_empty)
+        got = hpwl_per_net(nl)
+        want = kernel_oracles.hpwl_per_net(nl)
+        assert exact(got, want)
+        # the last real net keeps its last pin despite the empty tail
+        end = nl.net_names.index("end")
+        assert got[end] > 0.0
+        degrees = nl.net_degrees()
+        assert not got[degrees < 2].any()
+
+    def test_toy_design(self, netlist):
+        weights = np.linspace(0.5, 2.0, netlist.n_nets)
+        for w in (None, weights):
+            assert exact(hpwl_per_net(netlist, w), kernel_oracles.hpwl_per_net(netlist, w))
+        # the cached scratch is shared with WA; neither may disturb the other
+        wa_wirelength_and_grad(netlist, 1.0)
+        assert exact(hpwl_per_net(netlist), kernel_oracles.hpwl_per_net(netlist))
 
 
 @pytest.fixture(params=SCENES)

@@ -175,3 +175,40 @@ class TestHooks:
         assert gp.density_weight > 0
         gp.reset_solver()
         assert gp.density_weight == 0.0
+
+
+class TestClampEntries:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_clamp_to_die_and_filler_clip(self, toy120, seed):
+        """Cached bounds clamp exactly like ``Netlist.clamp_to_die`` plus
+        the filler clip, a cell wider than the die included."""
+        nl = toy120
+        nl.cell_width = nl.cell_width.copy()
+        wide = int(np.flatnonzero(nl.movable)[0])
+        nl.cell_width[wide] = 1.5 * nl.die.width
+        initial_placement(nl, 0)
+        gp = GlobalPlacer(nl, GPConfig(max_iters=5))
+        assert gp.n_fill > 0
+
+        rng = np.random.default_rng(seed)
+        die = nl.die
+        for _ in range(3):
+            nl.x[:] = rng.uniform(die.xlo - die.width, die.xhi + die.width, nl.n_cells)
+            nl.y[:] = rng.uniform(die.ylo - die.height, die.yhi + die.height, nl.n_cells)
+            gp.filler_x = rng.uniform(die.xlo - 5, die.xhi + 5, gp.n_fill)
+            gp.filler_y = rng.uniform(die.ylo - 5, die.yhi + 5, gp.n_fill)
+            ref = nl.copy()
+            ref.clamp_to_die()
+            want_fx = np.clip(
+                gp.filler_x, die.xlo + gp.filler_w / 2, die.xhi - gp.filler_w / 2
+            )
+            want_fy = np.clip(
+                gp.filler_y, die.ylo + gp.filler_h / 2, die.yhi - gp.filler_h / 2
+            )
+            gp._clamp_entries()
+            # bit-equal, signed zeros included
+            assert nl.x.tobytes() == ref.x.tobytes()
+            assert nl.y.tobytes() == ref.y.tobytes()
+            assert gp.filler_x.tobytes() == want_fx.tobytes()
+            assert gp.filler_y.tobytes() == want_fy.tobytes()
+        assert nl.x[wide] == die.xlo + 0.5 * nl.cell_width[wide]

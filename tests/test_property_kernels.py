@@ -15,8 +15,9 @@ is most sensitive to:
   shifting the CSR segment boundaries (the regime where the oracle's
   ``reduceat`` start-clamp quirk is live).
 
-WA agreement and virtual-cell selection are bit for bit; charge sums
-agree to ``rtol=1e-12``.
+WA, the raster stencil against its chunked build, HPWL against
+``reduceat`` and virtual-cell selection agree bit for bit; charge sums
+against the brute-force loop oracle agree to ``rtol=1e-12``.
 """
 
 from __future__ import annotations
@@ -29,16 +30,25 @@ from repro.core.netmove import NetMoveConfig, virtual_cell_positions
 from repro.density.rasterize import CellRasterizer
 from repro.geometry import Grid2D, Rect
 from repro.netlist import CellSpec, Netlist, NetSpec, PinSpec
+from repro.wirelength.hpwl import hpwl_per_net
 from repro.wirelength.wa import wa_wirelength_and_grad
-from tests.kernel_oracles import exact, raster_weights, virtual_cells, wa_oracle
+from tests import kernel_oracles
+from tests.kernel_oracles import (
+    exact,
+    raster_oracle,
+    raster_weights,
+    virtual_cells,
+    wa_oracle,
+)
 
 
-def _scene(positions, fixed_mask):
+def _scene(positions, fixed_mask, tail=()):
     """Random 8-cell scene with degenerate nets mixed into the CSR.
 
     Cells land anywhere on (and slightly past) the die; nets cover
     two-pin, same-cell two-pin, single-pin and a hub net over every
-    cell.
+    cell.  ``tail`` appends one net per entry with that many pins (0-3,
+    on cells 5-7), so the CSR may end in empty nets.
     """
     die = Rect(0.0, 0.0, 12.0, 12.0)
     cells = []
@@ -62,6 +72,10 @@ def _scene(positions, fixed_mask):
         # trailing degree-1 net: starts[-1] near the pin-count boundary,
         # the regime the reference reduceat clamp actually changes
         NetSpec("tail", [PinSpec("c6")]),
+    ]
+    nets += [
+        NetSpec(f"t{k}", [PinSpec(f"c{5 + j}", 0.1 * j) for j in range(d)])
+        for k, d in enumerate(tail)
     ]
     return Netlist.from_specs("prop", die, cells, nets)
 
@@ -102,6 +116,46 @@ class TestOracleAgreement:
             raster.gather(field), (weights * field[None]).sum(axis=(1, 2)),
             rtol=1e-12, atol=1e-14,
         )
+
+    @given(
+        rects=st.lists(
+            st.tuples(
+                st.floats(-2.0, 18.0), st.floats(-2.0, 10.0),
+                st.floats(0.0, 9.0), st.floats(0.0, 5.0),
+            ),
+            max_size=24,
+        ),
+        shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+        smooth=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_raster_stencil_exact(self, rects, shape, smooth):
+        """Any mix of sub-bin cells, off-die cells and macros wider than
+        the vector span gives the chunked build's bits."""
+        grid = Grid2D(Rect(0.0, 0.0, 16.0, 8.0), *shape)
+        x, y, w, h = np.array(rects, dtype=float).reshape(-1, 4).T
+        field = np.cos(np.arange(grid.nx * grid.ny, dtype=float)).reshape(grid.shape)
+        with raster_oracle():
+            ref = CellRasterizer(grid, x, y, w, h, smooth=smooth)
+            want = (ref.charge_map(), ref.gather(field), ref.total_charge())
+        raster = CellRasterizer(grid, x, y, w, h, smooth=smooth)
+        assert exact(raster.charge_map(), want[0])
+        assert exact(raster.gather(field), want[1])
+        assert raster.total_charge() == want[2]
+
+    @given(
+        positions=coords16,
+        fixed_mask=fixed8,
+        tail=st.lists(st.integers(0, 3), max_size=3),
+        last=st.integers(1, 3),
+        empty_after=st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_hpwl_exact(self, positions, fixed_mask, tail, last, empty_after):
+        """Degree-0/1 nets anywhere; the last real net (of degree
+        ``last``) may be followed by empty nets."""
+        netlist = _scene(positions, fixed_mask, tail + [last] + [0] * empty_after)
+        assert exact(hpwl_per_net(netlist), kernel_oracles.hpwl_per_net(netlist))
 
     @given(
         positions=coords16,
