@@ -15,7 +15,7 @@ from repro.core import CongestionField, two_pin_net_gradients
 from repro.density import CellRasterizer, PoissonSolver
 from repro.geometry import Grid2D
 from repro.place import GlobalPlacer, GPConfig, initial_placement
-from repro.route import GlobalRouter, PatternRouter, RouterConfig
+from repro.route import GlobalRouter, PatternRouter
 from repro.synth import suite_design
 from repro.wirelength import wa_wirelength_and_grad
 
@@ -62,12 +62,6 @@ def test_full_routing_pass(benchmark, placed_design):
     benchmark.pedantic(router.route, args=(netlist,), iterations=1, rounds=3)
 
 
-def test_full_routing_pass_scalar(benchmark, placed_design):
-    netlist, placer = placed_design
-    router = GlobalRouter(placer.grid, RouterConfig(engine="scalar"))
-    benchmark.pedantic(router.route, args=(netlist,), iterations=1, rounds=3)
-
-
 @pytest.fixture(scope="module")
 def pattern_segments():
     rng = np.random.default_rng(42)
@@ -78,18 +72,6 @@ def pattern_segments():
     )
     pts = rng.integers(0, nx, size=(4, 4096))
     return router, pts
-
-
-def test_pattern_route_scalar(benchmark, pattern_segments):
-    router, (i1, j1, i2, j2) = pattern_segments
-
-    def scalar():
-        return [
-            router.route(int(i1[k]), int(j1[k]), int(i2[k]), int(j2[k]))
-            for k in range(len(i1))
-        ]
-
-    benchmark(scalar)
 
 
 def test_pattern_route_batched(benchmark, pattern_segments):

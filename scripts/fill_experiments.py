@@ -118,7 +118,7 @@ def eco_table(path: str) -> str:
 
 
 def route_summary(path: str) -> str:
-    """Batched-vs-scalar router summary from ``results/BENCH_route.json``."""
+    """Router-vs-scalar-oracle summary from ``results/BENCH_route.json``."""
     with open(path) as fh:
         doc = json.load(fh)
     s = doc["summary"]

@@ -5,13 +5,16 @@ For each design this script
 1. runs a single RD round (``RDConfig(max_rounds=1)``) under a
    :class:`~repro.utils.profile.StageProfiler` and records the per-stage
    wall-clock breakdown (rd.route / rd.inflate / rd.nesterov / ...);
-2. re-routes the placed netlist with both routing engines (``scalar``
-   reference and ``batched``), checks that their demand maps are
-   bit-identical, and records the speedup.
+2. re-routes the placed netlist with :class:`GlobalRouter` and with
+   the one-segment-at-a-time oracle it is tested against
+   (``tests/kernel_oracles.py::ScalarRouter``, reported as
+   ``scalar``), checks that their demand maps are bit-identical, and
+   records the speedup.
 
 Everything lands in one JSON file (default ``results/BENCH_route.json``)
-whose ``summary`` block carries the geometric-mean routing speedup.  See EXPERIMENTS.md ("Stage profiling") for how to
-read the output.
+whose ``summary`` block carries the geometric-mean routing speedup.  See
+EXPERIMENTS.md ("Stage profiling") for how to read the output.  Run from
+the repo root: ``PYTHONPATH=src python scripts/profile_flow.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ import time
 
 import numpy as np
 
+# the scalar oracle lives in the test package at the repo root
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
+
 from repro.core.rd_placer import RDConfig, RoutabilityDrivenPlacer
 from repro.geometry.grid import Grid2D
 from repro.place.config import GPConfig, auto_grid_dim
@@ -31,12 +37,13 @@ from repro.route.config import RouterConfig
 from repro.route.router import GlobalRouter
 from repro.synth.suite import suite_design, suite_names
 from repro.utils.profile import StageProfiler
+from tests.kernel_oracles import ScalarRouter
 
 
-def _route_once(netlist, grid: Grid2D, engine: str) -> tuple[float, object, dict]:
-    """Route ``netlist`` with one engine; return (seconds, result, profile)."""
+def _route_once(netlist, grid: Grid2D, router_cls) -> tuple[float, object, dict]:
+    """Route ``netlist`` with one router; return (seconds, result, profile)."""
     profiler = StageProfiler()
-    router = GlobalRouter(grid, RouterConfig(engine=engine), profiler=profiler)
+    router = router_cls(grid, RouterConfig(), profiler=profiler)
     t0 = time.perf_counter()
     result = router.route(netlist)
     return time.perf_counter() - t0, result, profiler.as_dict()
@@ -51,11 +58,11 @@ def profile_design(name: str, scale: float, seed: int, iters: int) -> dict:
     placer = RoutabilityDrivenPlacer(netlist, rd, profiler=profiler)
     placer.run()
 
-    # engine comparison on the placed netlist
+    # router vs its scalar oracle on the placed netlist
     dim = auto_grid_dim(netlist.n_cells)
     grid = Grid2D(netlist.die, dim, dim)
-    t_scalar, res_scalar, prof_scalar = _route_once(netlist, grid, "scalar")
-    t_batched, res_batched, prof_batched = _route_once(netlist, grid, "batched")
+    t_scalar, res_scalar, prof_scalar = _route_once(netlist, grid, ScalarRouter)
+    t_batched, res_batched, prof_batched = _route_once(netlist, grid, GlobalRouter)
 
     exact = (
         np.array_equal(res_scalar.grid.h_demand, res_batched.grid.h_demand)

@@ -106,7 +106,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
     outcome = run_route_job(RouteRequest(
         input=args.input,
         grid=args.grid,
-        engine=args.engine,
         metrics_out=args.metrics_out,
         check_invariants=args.check_invariants,
     ))
@@ -538,8 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("route", help="route a placed design")
     p.add_argument("input")
     p.add_argument("--grid", type=int, default=0)
-    p.add_argument("--engine", choices=("batched", "scalar"), default="batched",
-                   help="routing engine (scalar = reference implementation)")
     p.add_argument("--profile", action="store_true",
                    help="print the per-stage wall-clock breakdown")
     p.add_argument("--metrics-out", default=None, metavar="PATH",

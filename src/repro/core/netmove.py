@@ -47,6 +47,12 @@ class NetMoveConfig:
     min_congestion: float = 0.0
     max_scale: float = 8.0
 
+    def __post_init__(self) -> None:
+        if self.max_samples < 1:
+            raise ValueError("max_samples must be >= 1")
+        if not self.max_scale > 0.0:
+            raise ValueError("max_scale must be positive")
+
 
 def _two_pin_endpoints(netlist: Netlist):
     """Pin indices (p1, p2) of every two-pin net."""

@@ -139,10 +139,8 @@ class RoundRecord:
 
     ``recovery`` lists human-readable notes of every guard action taken
     while preparing this round (scrubbed congestion maps, rollbacks of
-    a previous failed round); ``router_fallbacks`` counts batched->
-    scalar routing degradations in the pass that produced this round's
-    congestion; ``guard_trips`` is the cumulative solver guard-trip
-    count at record time.
+    a previous failed round); ``guard_trips`` is the cumulative solver
+    guard-trip count at record time.
 
     ``n_deflated`` counts cells whose Eq. 12 deflation correction fired
     in this round's MCI update.  ``netmove_grad_l1`` /
@@ -166,7 +164,6 @@ class RoundRecord:
     mean_inflation: float
     max_inflation: float
     recovery: list = field(default_factory=list)
-    router_fallbacks: int = 0
     guard_trips: int = 0
     n_deflated: int = 0
     netmove_grad_l1: float = 0.0
@@ -861,7 +858,12 @@ class RoutabilityDrivenPlacer:
 
         state = _FlowState(
             next_round=int(meta["next_round"]),
-            rounds=[RoundRecord(**r) for r in meta["rounds"]],
+            # older snapshots carry the retired ``router_fallbacks``
+            # counter; drop it
+            rounds=[
+                RoundRecord(**{k: v for k, v in r.items() if k != "router_fallbacks"})
+                for r in meta["rounds"]
+            ],
             hpwl_ref=float(meta["hpwl_ref"]),
             best_score=(
                 np.inf if meta["best_score"] is None else float(meta["best_score"])
@@ -1044,7 +1046,6 @@ class RoutabilityDrivenPlacer:
             mean_inflation=float((self.gp.size_scale**2).mean()),
             max_inflation=float((self.gp.size_scale**2).max()),
             recovery=recovery,
-            router_fallbacks=routing.n_fallbacks,
             guard_trips=len(self.gp.guard_log),
             n_deflated=self.inflation.last_n_deflated,
             netmove_grad_l1=self.last_netmove_l1,
@@ -1077,7 +1078,6 @@ class RoutabilityDrivenPlacer:
             multipin_grad_l1=record.multipin_grad_l1,
             dpa_bins=record.dpa_bins,
             dpa_charge=record.dpa_charge,
-            router_fallbacks=record.router_fallbacks,
             guard_trips=record.guard_trips,
             n_recoveries=len(record.recovery),
         )

@@ -104,13 +104,13 @@ def _knob_table() -> dict:
         Knob("rd.multipin_threshold", "rd", "multipin_threshold", "float",
              "Congestion threshold enabling multi-pin net moving (Alg. 2)"),
         Knob("rd.inflation_mode", "rd", "inflation_mode", "str",
-             "Inflation accumulation mode", choices=("momentum", "naive")),
+             "Inflation accumulation mode",
+             choices=("momentum", "present", "off")),
         Knob("rd.pg_mode", "rd", "pg_mode", "str",
-             "Pseudo-gradient weighting mode", choices=("dynamic", "static")),
+             "Pseudo-gradient weighting mode",
+             choices=("dynamic", "static", "off")),
         Knob("rd.enable_dc", "rd", "enable_dc", "bool",
              "Enable differentiable-congestion gradients"),
-        Knob("router.engine", "router", "engine", "str",
-             "Global-router estimation engine", choices=("batched", "scalar")),
         Knob("router.rrr_rounds", "router", "rrr_rounds", "int",
              "Rip-up-and-reroute rounds in the congestion estimator"),
     )
@@ -121,7 +121,13 @@ KNOBS = _knob_table()
 
 
 def validate_knobs(knobs: dict) -> dict:
-    """Check a knob mapping against :data:`KNOBS`; return the cast copy."""
+    """Check a knob mapping against :data:`KNOBS`; return the cast copy.
+
+    Besides each knob's type and choices, the mapping is bound onto the
+    flow-default configs, so their own range checks (``GPConfig``,
+    ``InflationConfig``, ``NetMoveConfig``, ``RouterConfig``, ...)
+    reject a bad value here rather than in the middle of a flow.
+    """
     if not isinstance(knobs, dict):
         raise ValueError(f"knob mapping must be a dict, got {type(knobs).__name__}")
     out = {}
@@ -132,6 +138,10 @@ def validate_knobs(knobs: dict) -> dict:
                 f"unknown knob {name!r}; known knobs: {', '.join(sorted(KNOBS))}"
             )
         out[name] = knob.cast(knobs[name])
+    try:
+        _bind(out)
+    except ValueError as exc:
+        raise ValueError(f"invalid knob value: {exc}") from exc
     return out
 
 
@@ -151,7 +161,12 @@ def apply_knobs(knobs: dict, gp_base: GPConfig | None = None,
     path layers sweep overrides on top of request-level settings),
     otherwise from the flow defaults.
     """
-    cast = validate_knobs(knobs)
+    return _bind(validate_knobs(knobs), gp_base, rd_base)
+
+
+def _bind(cast: dict, gp_base: GPConfig | None = None,
+          rd_base: RDConfig | None = None) -> KnobBinding:
+    """Rebind an already cast knob mapping; the configs validate."""
     by_section: dict = {}
     for name, value in cast.items():
         knob = KNOBS[name]
@@ -226,7 +241,7 @@ def parse_spec(raw: dict, origin: str = "<spec>") -> GridSpec:
             if not values:
                 raise ValueError(f"{origin}: {src} knob {knob_name!r} has no values")
             for v in values:
-                knob.cast(v)
+                validate_knobs({knob_name: v})
     if paired:
         lengths = {len(v) for v in paired.values()}
         if len(lengths) != 1:

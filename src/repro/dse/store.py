@@ -25,7 +25,7 @@ ROUND_FIELDS = (
     "round", "c_value", "mean_congestion", "max_congestion",
     "total_overflow", "hpwl", "lambda2", "mean_inflation",
     "max_inflation", "n_deflated", "netmove_grad_l1",
-    "multipin_grad_l1", "dpa_bins", "dpa_charge", "router_fallbacks",
+    "multipin_grad_l1", "dpa_bins", "dpa_charge",
 )
 
 _SCHEMA = """
@@ -52,7 +52,7 @@ CREATE TABLE IF NOT EXISTS rounds (
     total_overflow REAL, hpwl REAL, lambda2 REAL,
     mean_inflation REAL, max_inflation REAL, n_deflated REAL,
     netmove_grad_l1 REAL, multipin_grad_l1 REAL,
-    dpa_bins REAL, dpa_charge REAL, router_fallbacks REAL,
+    dpa_bins REAL, dpa_charge REAL,
     PRIMARY KEY (unit_id, flow, round));
 CREATE TABLE IF NOT EXISTS supervisor_events (
     sweep TEXT, seq INTEGER, kind TEXT, job TEXT,

@@ -37,21 +37,13 @@ class RouterConfig:
     rrr_rounds:
         Number of rip-up-and-reroute rounds after initial routing.
     cost_refresh_interval:
-        Number of segments routed between cost-map refreshes.
+        Number of segments routed between cost-map refreshes (>= 1).
     maze_fallback:
         After the rip-up rounds, re-route still-overflowed segments
         with a Dijkstra maze router that can take arbitrary detours
         (extension beyond the paper's Z-shape estimator).
     maze_window:
         Bounding-box expansion margin for the maze search.
-    engine:
-        ``"batched"`` routes whole cost-refresh chunks as vectorized
-        array operations (default); ``"scalar"`` is the one-segment-
-        at-a-time reference implementation.  Both produce identical
-        demand maps (the batched path evaluates the same candidates
-        against the same stale-within-chunk cost maps), so the switch
-        only trades speed — keep ``"scalar"`` around for equivalence
-        tests and debugging.
     """
 
     n_layers: int = 4
@@ -68,16 +60,15 @@ class RouterConfig:
     maze_fallback: bool = False
     maze_window: int = 8
     topology: str = "mst"  # multi-pin decomposition: "mst" | "stt"
-    engine: str = "batched"  # segment evaluation: "batched" | "scalar"
 
     def __post_init__(self) -> None:
         if self.topology not in ("mst", "stt"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        if self.engine not in ("batched", "scalar"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.n_layers < 2:
             raise ValueError("need at least 2 routing layers (one H, one V)")
         if self.wire_pitch <= 0:
             raise ValueError("wire_pitch must be positive")
         if self.rrr_rounds < 0:
             raise ValueError("rrr_rounds must be >= 0")
+        if self.cost_refresh_interval < 1:
+            raise ValueError("cost_refresh_interval must be >= 1")

@@ -466,7 +466,6 @@ class RouteRequest:
 
     input: str
     grid: int = 0
-    engine: str = "batched"
     metrics_out: str | None = None
     check_invariants: str | None = None
     metrics_buffer_lines: int = 256
@@ -531,9 +530,8 @@ def run_route_job(req: RouteRequest, netlist=None) -> RouteOutcome:
         buffer_lines=req.metrics_buffer_lines,
     )
     configure_contracts(req.check_invariants, metrics)
-    config = RouterConfig(engine=req.engine)
     result = GlobalRouter(
-        grid, config, profiler=profiler, metrics=metrics
+        grid, RouterConfig(), profiler=profiler, metrics=metrics
     ).route(netlist)
     util = result.utilization_map
     outcome = RouteOutcome(
@@ -560,7 +558,7 @@ CLIENT_PLACE_FIELDS = (
     "check_invariants", "overrides",
 )
 CLIENT_ROUTE_FIELDS = (
-    "input", "grid", "engine", "check_invariants",
+    "input", "grid", "check_invariants",
 )
 CLIENT_ECO_FIELDS = (
     "input", "baseline", "baseline_checkpoint", "rounds", "iters_per_round",

@@ -41,11 +41,9 @@ Known sites
     Gradient vector inside :class:`~repro.optim.nesterov.NesterovOptimizer`.
 ``rd.congestion``
     Congestion map entering a routability round.
-``route.batched``
-    Top of the batched routing pass (raise to force the scalar engine).
 ``route.batched_chunk``
-    One cost-refresh chunk of the batched engine (raise to force the
-    per-chunk scalar fallback).
+    One cost-refresh chunk of the routing pass (a raise propagates out
+    of :meth:`~repro.route.router.GlobalRouter.route`).
 ``checkpoint.write``
     Serialized archive bytes inside
     :func:`~repro.utils.checkpoint.write_checkpoint` (``torn`` plans

@@ -103,7 +103,6 @@ EVENT_FIELDS: dict = {
         "multipin_grad_l1",
         "dpa_bins",
         "dpa_charge",
-        "router_fallbacks",
     ),
     # one per guard/sanitize recovery in the routability flow
     "rd.recovery": ("round", "guard", "detail", "action"),
@@ -157,8 +156,6 @@ EVENT_FIELDS: dict = {
         "h_cap",
         "v_cap",
         "max_utilization",
-        "n_fallbacks",
-        "engine",
     ),
 }
 

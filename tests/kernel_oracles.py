@@ -15,20 +15,33 @@ Two kinds:
   Alg. 2 multi-pin selection, the router's bend search) written
   straight from their definitions: no CSR tricks, no prefix sums, no
   padded sample matrices.  Selections must agree exactly; sums, whose
-  order differs, agree to a tight relative tolerance.
+  order differs, agree to a tight relative tolerance;
+* **the scalar routing engine** -- :class:`ScalarRouter` routes one
+  segment at a time (:func:`pattern_route`) against the same
+  prefix-sum costs and stale-within-chunk cost maps as
+  :class:`~repro.route.router.GlobalRouter`, so demand, via and
+  history maps must agree at ``atol=0``.
 
-Both are used by ``tests/test_kernel_oracles.py`` and
-``tests/test_property_kernels.py``.
+The first two are used by ``tests/test_kernel_oracles.py`` and
+``tests/test_property_kernels.py``, the engine by
+``tests/test_route_batch.py`` and ``scripts/profile_flow.py``.
 """
 
 from __future__ import annotations
 
 import contextlib
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
 
 from repro.density.rasterize import CellRasterizer
+from repro.route.congestion import congestion_from_demand
+from repro.route.decompose import segment_endpoints
+from repro.route.grid import RoutingGrid
+from repro.route.maze import maze_route
+from repro.route.patterns import PatternRouter, RoutedPath
+from repro.route.router import GlobalRouter, RoutingResult
 from repro.wirelength import wa
 
 
@@ -354,3 +367,229 @@ def best_pattern_cost(h_cost, v_cost, i1, j1, i2, j2, via_cost, margin) -> float
             + via_cost * ((r != j1) + (r != j2))
         )
     return min(costs)
+
+
+# ----------------------------------------------------------------------
+# the scalar routing engine
+# ----------------------------------------------------------------------
+def pattern_candidates(a: int, b: int, limit: int, z_samples: int, margin: int) -> np.ndarray:
+    """Bend coordinates tried for the span ``a..b``, ascending.
+
+    The range widened by ``margin`` on both sides (clipped to the
+    grid) when it has at most ``z_samples`` entries, else
+    ``np.linspace(lo, hi, z_samples).round()``.
+    """
+    lo = max(min(a, b) - margin, 0)
+    hi = min(max(a, b) + margin, limit - 1)
+    if hi - lo + 1 <= z_samples:
+        return np.arange(lo, hi + 1, dtype=np.int64)
+    return np.linspace(lo, hi, z_samples).round().astype(np.int64)
+
+
+def _candidates(router: PatternRouter, a: int, b: int, limit: int) -> np.ndarray:
+    return pattern_candidates(a, b, limit, router.z_samples, router.detour_margin)
+
+
+def _best_hvh(router: PatternRouter, i1, j1, i2, j2) -> RoutedPath:
+    """Horizontal - vertical - horizontal, bend column ``m``."""
+    ms = _candidates(router, i1, i2, router.nx)
+    c = (
+        router._h_run_cost(j1, np.full_like(ms, i1), ms)
+        + router._v_run_cost(ms, j1, j2)
+        + router._h_run_cost(j2, ms, np.full_like(ms, i2))
+        + router.via_cost * ((ms != i1).astype(float) + (ms != i2))
+    )
+    k = int(np.argmin(c))
+    m = int(ms[k])
+    runs = []
+    bends = []
+    if m != i1:
+        runs.append(("h", j1, i1, m))
+        bends.append((m, j1))
+    runs.append(("v", m, j1, j2))
+    if m != i2:
+        runs.append(("h", j2, m, i2))
+        bends.append((m, j2))
+    return RoutedPath(runs=runs, bends=bends, cost=float(c[k]))
+
+
+def _best_vhv(router: PatternRouter, i1, j1, i2, j2) -> RoutedPath:
+    """Vertical - horizontal - vertical, bend row ``r``."""
+    rs = _candidates(router, j1, j2, router.ny)
+    c = (
+        router._v_run_cost(np.full_like(rs, i1), j1, rs)
+        + router._h_run_cost(rs, i1, i2)
+        + router._v_run_cost(np.full_like(rs, i2), rs, np.full_like(rs, j2))
+        + router.via_cost * ((rs != j1).astype(float) + (rs != j2))
+    )
+    k = int(np.argmin(c))
+    r = int(rs[k])
+    runs = []
+    bends = []
+    if r != j1:
+        runs.append(("v", i1, j1, r))
+        bends.append((i1, r))
+    runs.append(("h", r, i1, i2))
+    if r != j2:
+        runs.append(("v", i2, r, j2))
+        bends.append((i2, r))
+    return RoutedPath(runs=runs, bends=bends, cost=float(c[k]))
+
+
+def pattern_route(router: PatternRouter, i1: int, j1: int, i2: int, j2: int) -> RoutedPath:
+    """Best L/Z path between two G-cells, one segment at a time.
+
+    Uses ``router``'s prefix-sum run costs; HVH wins cost ties and the
+    lowest bend wins within a family (``np.argmin``).
+    """
+    if i1 == i2 and j1 == j2:
+        return RoutedPath(runs=[], bends=[], cost=0.0)
+    if j1 == j2:
+        cost = float(router._h_run_cost(j1, i1, i2))
+        return RoutedPath(runs=[("h", j1, i1, i2)], bends=[], cost=cost)
+    if i1 == i2:
+        cost = float(router._v_run_cost(i1, j1, j2))
+        return RoutedPath(runs=[("v", i1, j1, j2)], bends=[], cost=cost)
+    best = _best_hvh(router, i1, j1, i2, j2)
+    other = _best_vhv(router, i1, j1, i2, j2)
+    return best if best.cost <= other.cost else other
+
+
+@dataclass
+class _Segment:
+    net_id: int
+    i1: int
+    j1: int
+    i2: int
+    j2: int
+    path: RoutedPath | None = None
+
+    @property
+    def bbox_span(self) -> int:
+        return abs(self.i2 - self.i1) + abs(self.j2 - self.j1)
+
+
+class ScalarRouter(GlobalRouter):
+    """:meth:`GlobalRouter.route`, one segment at a time.
+
+    Segments are Python objects sorted by bbox span (``list.sort`` is
+    stable, as the engine's argsort), each routed with
+    :func:`pattern_route` and committed run by run; costs refresh every
+    ``cost_refresh_interval`` segments.  Overflow victims are found by
+    slicing the overflow masks per run.  Pin-via demand, the base load
+    and the congestion map reuse the engine's helpers.  Records the same
+    ``route.*`` profiler stages; no contracts, no telemetry.
+    """
+
+    def route(self, netlist, net_ids=None, base_demand=None) -> RoutingResult:
+        """One routing pass (full, or partial with ``net_ids`` / ``base_demand``)."""
+        self.profiler.count("route.calls")
+        with self.profiler.timer("route.total"):
+            return self._route_segments(netlist, net_ids, base_demand)
+
+    def _route_segments(self, netlist, net_ids, base_demand) -> RoutingResult:
+        cfg = self.config
+        prof = self.profiler
+        rgrid = RoutingGrid(self.grid, cfg, netlist)
+        self._apply_base_demand(rgrid, base_demand)
+        with prof.timer("route.decompose"):
+            segments = self._collect_segments(netlist, net_ids)
+        prof.count("route.segments", len(segments))
+        self._add_pin_via_demand(rgrid, netlist, net_ids)
+
+        # short segments first: they have no routing freedom anyway and
+        # longer segments then see realistic congestion
+        segments.sort(key=lambda s: s.bbox_span)
+        with prof.timer("route.initial"):
+            self._route_all(rgrid, segments)
+
+        with prof.timer("route.rrr"):
+            for _ in range(cfg.rrr_rounds):
+                rgrid.accumulate_history()
+                victims = self._segment_victims(rgrid, segments)
+                if not victims:
+                    break
+                prof.count("route.rerouted", len(victims))
+                for seg in victims:
+                    self._uncommit(rgrid, seg)
+                self._route_all(rgrid, victims)
+
+        if cfg.maze_fallback:
+            with prof.timer("route.maze"):
+                self._maze_segments(rgrid, segments)
+
+        wirelength = 0.0
+        for seg in segments:
+            if seg.path is not None:
+                wirelength += seg.path.wirelength(self.grid.dx, self.grid.dy)
+        return RoutingResult(
+            grid=rgrid,
+            congestion=congestion_from_demand(rgrid),
+            wirelength=wirelength,
+            n_vias=float(rgrid.via_demand.sum()),
+            total_overflow=float(rgrid.overflow_map().sum()),
+            n_segments=len(segments),
+        )
+
+    def _collect_segments(self, netlist, net_ids) -> list:
+        nets, x1, y1, x2, y2 = segment_endpoints(netlist, self.config.topology)
+        if net_ids is not None:
+            keep = np.isin(nets, net_ids)
+            nets, x1, y1, x2, y2 = nets[keep], x1[keep], y1[keep], x2[keep], y2[keep]
+        i1, j1 = self.grid.index_of(x1, y1)
+        i2, j2 = self.grid.index_of(x2, y2)
+        return [
+            _Segment(int(e), int(a), int(b), int(c), int(d))
+            for e, a, b, c, d in zip(nets, i1, j1, i2, j2)
+        ]
+
+    def _route_all(self, rgrid: RoutingGrid, segments: list) -> None:
+        cfg = self.config
+        router = PatternRouter(*rgrid.cost_maps(), via_cost=1.0, z_samples=cfg.z_samples)
+        for k, seg in enumerate(segments):
+            if k and k % cfg.cost_refresh_interval == 0:
+                router.refresh(*rgrid.cost_maps())
+            seg.path = pattern_route(router, seg.i1, seg.j1, seg.i2, seg.j2)
+            self._commit_path(rgrid, seg.path, 1.0)
+
+    def _uncommit(self, rgrid: RoutingGrid, seg: _Segment) -> None:
+        self._commit_path(rgrid, seg.path, -1.0)
+        seg.path = None
+
+    @staticmethod
+    def _segment_victims(rgrid: RoutingGrid, segments: list) -> list:
+        """Segments whose path crosses an overflowed G-cell."""
+        h_over = rgrid.h_demand > rgrid.h_cap
+        v_over = rgrid.v_demand > rgrid.v_cap
+        victims = []
+        for seg in segments:
+            if seg.path is None:
+                continue
+            for kind, fixed, a, b in seg.path.runs:
+                lo, hi = min(a, b), max(a, b)
+                over = h_over[lo : hi + 1, fixed] if kind == "h" else v_over[fixed, lo : hi + 1]
+                if over.any():
+                    victims.append(seg)
+                    break
+        return victims
+
+    def _maze_segments(self, rgrid: RoutingGrid, segments: list) -> None:
+        """Detour-route segments still crossing overflowed G-cells."""
+        for seg in self._segment_victims(rgrid, segments):
+            old_path = seg.path
+            before = float(rgrid.overflow_map().sum())
+            self._uncommit(rgrid, seg)
+            # fresh costs per segment
+            h_cost, v_cost = rgrid.cost_maps()
+            seg.path = maze_route(
+                h_cost, v_cost, seg.i1, seg.j1, seg.i2, seg.j2,
+                via_cost=1.0, window=self.config.maze_window,
+            )
+            self._commit_path(rgrid, seg.path, 1.0)
+            after = float(rgrid.overflow_map().sum())
+            if after >= before - 1e-9:
+                # admission control: keep the old path unless the
+                # detour reduces the total overflow
+                self._commit_path(rgrid, seg.path, -1.0)
+                seg.path = old_path
+                self._commit_path(rgrid, seg.path, 1.0)

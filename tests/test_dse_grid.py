@@ -144,7 +144,34 @@ class TestKnobBinding:
         with pytest.raises(ValueError, match="number"):
             validate_knobs({"inflation.alpha": True})
         with pytest.raises(ValueError, match="not in"):
-            validate_knobs({"router.engine": "quantum"})
+            validate_knobs({"rd.inflation_mode": "quantum"})
+        with pytest.raises(ValueError, match="unknown knob 'router.engine'"):
+            validate_knobs({"router.engine": "batched"})
+
+    @pytest.mark.parametrize("knobs, field", [
+        ({"netmove.max_samples": 0}, "max_samples"),
+        ({"netmove.max_scale": 0.0}, "max_scale"),
+        ({"router.rrr_rounds": -1}, "rrr_rounds"),
+        ({"gp.max_iters": -5}, "max_iters"),
+        ({"gp.target_density": 1.5}, "target_density"),
+        ({"inflation.alpha": 1.5}, "alpha"),
+        ({"inflation.r_min": 2.0, "inflation.r_max": 1.5}, "r_min"),
+        ({"rd.iters_per_round": 0}, "iters_per_round"),
+    ])
+    def test_config_range_checks_run_at_validation(self, knobs, field):
+        with pytest.raises(ValueError, match=f"invalid knob value: .*{field}"):
+            validate_knobs(knobs)
+
+    def test_bad_value_rejected_when_spec_is_parsed(self):
+        raw = dict(RAW, grid={"netmove.max_samples": [8, 0]})
+        with pytest.raises(ValueError, match="max_samples"):
+            parse_spec(raw)
+        # each value is fine alone; the second pair is not
+        raw = dict(RAW, grid={}, paired={"inflation.r_min": [0.5, 1.5],
+                                         "inflation.r_max": [3.0, 1.2]})
+        spec = parse_spec(raw)
+        with pytest.raises(ValueError, match="r_min must not exceed r_max"):
+            make_units(spec)
 
     def test_apply_knobs_rebinds_each_section(self):
         binding = apply_knobs({
@@ -153,14 +180,14 @@ class TestKnobBinding:
             "netmove.max_samples": 16,
             "rd.max_rounds": 3,
             "gp.target_density": 0.8,
-            "router.engine": "scalar",
+            "router.rrr_rounds": 4,
         })
         rd = binding.rd_config
         assert rd.inflation.alpha == 0.7
         assert rd.pinaccess.density_scale == 2.0
         assert rd.netmove.max_samples == 16
         assert rd.max_rounds == 3
-        assert rd.router.engine == "scalar"
+        assert rd.router.rrr_rounds == 4
         assert binding.gp_config.target_density == 0.8
         assert rd.gp is binding.gp_config
 
@@ -175,13 +202,13 @@ class TestKnobBinding:
     def test_every_registered_knob_applies(self):
         for name, knob in KNOBS.items():
             sample = {"float": 0.95, "int": 2, "bool": True, "str": None}[knob.kind]
-            if knob.choices:
-                sample = knob.choices[0]
-            binding = apply_knobs({name: sample})
-            if knob.section == "gp":
-                assert getattr(binding.gp_config, knob.attr) == sample
-            elif knob.section == "rd":
-                assert getattr(binding.rd_config, knob.attr) == sample
-            else:
-                sub = getattr(binding.rd_config, knob.section)
-                assert getattr(sub, knob.attr) == sample
+            # every advertised choice must be one the config accepts
+            for sample in knob.choices or (sample,):
+                binding = apply_knobs({name: sample})
+                if knob.section == "gp":
+                    assert getattr(binding.gp_config, knob.attr) == sample
+                elif knob.section == "rd":
+                    assert getattr(binding.rd_config, knob.attr) == sample
+                else:
+                    sub = getattr(binding.rd_config, knob.section)
+                    assert getattr(sub, knob.attr) == sample

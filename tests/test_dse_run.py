@@ -136,6 +136,31 @@ class TestServiceOverrides:
         payload["request"]["overrides"] = {"kernel.backend": "fastnp"}
         with pytest.raises(ValueError, match="kernel.backend"):
             validate_job_payload(payload)
+        payload["request"]["overrides"] = {"router.engine": "scalar"}
+        with pytest.raises(ValueError, match="unknown knob 'router.engine'"):
+            validate_job_payload(payload)
+
+    @pytest.mark.parametrize("overrides", [
+        {"netmove.max_samples": 0},
+        {"router.rrr_rounds": -1},
+        {"gp.max_iters": -5},
+        {"gp.target_density": 1.5},
+        {"inflation.alpha": 1.5},
+    ])
+    def test_payload_validation_rejects_out_of_range_knobs(self, overrides):
+        from repro.service.runner import validate_job_payload
+
+        payload = {"kind": "place", "request": {
+            "input": "x.bl", "routability": True, "overrides": overrides}}
+        with pytest.raises(ValueError, match="bad 'overrides': invalid knob value"):
+            validate_job_payload(payload)
+
+    def test_route_request_has_no_engine_field(self):
+        from repro.service.runner import validate_job_payload
+
+        payload = {"kind": "route", "request": {"input": "x.bl", "engine": "scalar"}}
+        with pytest.raises(ValueError, match="unknown request field.*engine"):
+            validate_job_payload(payload)
 
     def test_payload_validation_rejects_unknown_fields(self):
         from repro.service.runner import validate_job_payload

@@ -91,6 +91,15 @@ class TestQueries:
         assert [r["round"] for r in rounds] == [0, 1]
         assert rounds[1]["mean_congestion"] == 0.22
 
+    def test_retired_round_field_is_ignored(self, db):
+        # the golden streams predate the retirement of router_fallbacks
+        payload = json.loads(
+            (GOLDEN / "golden__p000__des_perf_1.json").read_text())
+        assert any("router_fallbacks" in e for e in payload["events"]
+                   if e.get("kind") == "rd.round")
+        rounds = db.unit_rounds("golden:p000:des_perf_1")
+        assert rounds and all("router_fallbacks" not in r for r in rounds)
+
     def test_bench_history(self, db):
         assert db.bench_files() == ["BENCH_mini_0.json", "BENCH_mini_1.json"]
         series = db.bench_series("wa", "speedup")

@@ -219,6 +219,14 @@ class TestValidation:
         # retired kind still found in older v2 streams
         validate_event({"v": 2, "seq": 1, "kind": "kernel.backend",
                         "requested": "auto", "resolved": "reference"})
+        # retired fields of older streams are extra fields, not errors
+        for kind, retired in (("rd.round", {"router_fallbacks": 0}),
+                              ("route.pass", {"n_fallbacks": 0,
+                                              "engine": "batched"})):
+            event = {"v": 2, "seq": 1, "kind": kind}
+            event.update({f: 0 for f in EVENT_FIELDS[kind]})
+            event.update(retired)
+            validate_event(event)
 
     @pytest.mark.parametrize("event,match", [
         ("not a dict", "not an object"),
@@ -433,7 +441,7 @@ class TestFlowIntegration:
             for name in EVENT_FIELDS["rd.round"]:
                 assert name in e
         passes = [e for e in events if e["kind"] == "route.pass"]
-        assert all(e["engine"] in ("batched", "scalar") for e in passes)
+        assert passes and all("engine" not in e for e in passes)
         assert all(e["h_cap"] > 0 and e["v_cap"] > 0 for e in passes)
         end = events[-1]
         assert end["kind"] == "run.end"

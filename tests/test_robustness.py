@@ -4,8 +4,8 @@ The `faultinject`-marked tests install deterministic
 :class:`~repro.utils.faults.FaultPlan` entries at named sites inside
 the flow and assert that every recovery path fires: the solver backs
 off NaN gradients, the routability loop scrubs poisoned congestion
-maps, the router degrades to the scalar engine bit-identically, and a
-crashed round rolls back to the best snapshot.  The checkpoint tests
+maps, a failing routing pass raises (and the routability loop rolls
+that round back), and a crashed round rolls back to the best snapshot.  The checkpoint tests
 pin down the acceptance criterion: a flow interrupted after round k
 and resumed from disk produces bit-identical final positions.
 """
@@ -33,6 +33,7 @@ from repro.utils.guards import (
     all_finite,
     scrub_nonfinite,
 )
+from repro.utils.metrics import MemorySink, MetricsRegistry
 
 
 def _rd_config(**kw):
@@ -245,38 +246,68 @@ class TestCongestionFaults:
 
 @pytest.mark.faultinject
 class TestRouterFaults:
-    def test_batched_failure_falls_back_bit_identical(self, toy300):
-        dim = 24
-        grid = Grid2D(toy300.die, dim, dim)
-        clean = GlobalRouter(grid, RouterConfig()).route(toy300)
-        with faults.injected(FaultPlan("route.batched", mode="raise", count=-1)):
-            degraded = GlobalRouter(grid, RouterConfig()).route(toy300)
-        assert degraded.n_fallbacks == 1
-        assert np.array_equal(clean.grid.h_demand, degraded.grid.h_demand)
-        assert np.array_equal(clean.grid.v_demand, degraded.grid.v_demand)
-        # the scalar engine accumulates wirelength in a different
-        # summation order; demand maps are the bit-exact contract
-        assert clean.wirelength == pytest.approx(degraded.wirelength, rel=1e-12)
+    """A failing routing pass is loud: no engine to fall back to."""
 
-    def test_chunk_failure_falls_back_bit_identical(self, toy300):
-        dim = 24
-        grid = Grid2D(toy300.die, dim, dim)
-        clean = GlobalRouter(grid, RouterConfig()).route(toy300)
-        plan = FaultPlan("route.batched_chunk", mode="raise", trigger=1, count=2)
+    def test_chunk_failure_raises(self, toy300):
+        grid = Grid2D(toy300.die, 24, 24)
+        plan = FaultPlan("route.batched_chunk", mode="raise", trigger=1)
         with faults.injected(plan) as injector:
-            degraded = GlobalRouter(grid, RouterConfig()).route(toy300)
-        assert injector.count_fired("route.batched_chunk") == 2
-        assert degraded.n_fallbacks == 2
-        assert np.array_equal(clean.grid.h_demand, degraded.grid.h_demand)
-        assert np.array_equal(clean.grid.v_demand, degraded.grid.v_demand)
+            with pytest.raises(InjectedFault, match="route.batched_chunk"):
+                GlobalRouter(grid, RouterConfig()).route(toy300)
+        assert injector.count_fired("route.batched_chunk") == 1
 
-    def test_flow_reports_router_fallbacks(self, inject_faults):
+    def test_flow_rolls_back_failed_route(self):
         nl = toy_design(150, seed=5)
-        inject_faults(FaultPlan("route.batched", mode="raise", count=-1))
-        placer = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=2))
+        metrics = MetricsRegistry(sink=MemorySink())
+        metrics.start_run(command="test")
+        placer = RoutabilityDrivenPlacer(nl, _rd_config(max_rounds=2), metrics=metrics)
+        orig = placer.router.route
+        calls = {"n": 0}
+
+        def route(netlist, *args, **kwargs):
+            # pass 1 is the initial routing; pass 2 ends round 0
+            calls["n"] += 1
+            if calls["n"] != 2:
+                return orig(netlist, *args, **kwargs)
+            with faults.injected(FaultPlan("route.batched_chunk", mode="raise")):
+                return orig(netlist, *args, **kwargs)
+
+        placer.router.route = route
         result = placer.run()
+        metrics.close()
         _assert_legal_positions(nl)
-        assert all(r.router_fallbacks >= 1 for r in result.rounds)
+        recoveries = metrics.series.get("rd.recovery", [])
+        assert [e["action"] for e in recoveries] == ["rollback"]
+        assert recoveries[0]["round"] == 0
+        assert "InjectedFault" in recoveries[0]["detail"]
+        assert "route.batched_chunk" in recoveries[0]["detail"]
+        # round 0 was recorded before its failed pass; the loop then
+        # carried on with round 1 from the rolled-back state
+        assert [r.round_id for r in result.rounds] == [0, 1]
+
+    def test_cli_route_exits_nonzero(self, tmp_path, toy300):
+        import subprocess
+        import sys
+
+        from repro.io.bookshelf import save_design
+
+        design = tmp_path / "toy.bl"
+        save_design(toy300, str(design))
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "from repro.utils import faults\n"
+            "faults.install(faults.FaultInjector().add("
+            "faults.FaultPlan('route.batched_chunk', mode='raise')))\n"
+            f"sys.exit(main(['route', {str(design)!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "InjectedFault" in proc.stderr
+        assert "segments=" not in proc.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +365,33 @@ class TestFlowCheckpoint:
         assert len(result.rounds) == len(ref_result.rounds)
         for got, want in zip(result.rounds, ref_result.rounds):
             assert asdict(got) == asdict(want)
+
+    def test_resume_drops_retired_round_key(self, tmp_path):
+        """Snapshots whose round records carry the retired
+        ``router_fallbacks`` counter still resume bit-identically."""
+        path = str(tmp_path / "flow.npz")
+        ref = toy_design(300, seed=3)
+        ref_result = RoutabilityDrivenPlacer(ref, self._multi_round_cfg()).run()
+
+        nl = toy_design(300, seed=3)
+        placer = RoutabilityDrivenPlacer(nl, self._multi_round_cfg())
+        self._interrupt_after(placer, 3)
+        with pytest.raises(KeyboardInterrupt):
+            placer.run(checkpoint_path=path)
+        # rewrite it in the older layout: one extra key per round record
+        meta, arrays = read_checkpoint(path)
+        assert meta["rounds"]
+        for record in meta["rounds"]:
+            record["router_fallbacks"] = 0
+        write_checkpoint(path, meta, arrays)
+
+        nl2 = toy_design(300, seed=3)
+        placer2 = RoutabilityDrivenPlacer(nl2, self._multi_round_cfg())
+        result = placer2.run(checkpoint_path=path, resume=True)
+        assert result.resumed_from_round == 0
+        assert np.array_equal(ref.x, nl2.x)
+        assert np.array_equal(ref.y, nl2.y)
+        assert result.rounds == ref_result.rounds
 
     def test_resume_rejects_other_design(self, tmp_path):
         path = str(tmp_path / "flow.npz")

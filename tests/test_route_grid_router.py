@@ -82,6 +82,18 @@ class TestRoutingGrid:
         with pytest.raises(ValueError):
             RouterConfig(wire_pitch=0)
 
+    @pytest.mark.parametrize("interval", [0, -4])
+    def test_cost_refresh_interval_must_be_positive(self, interval):
+        # a non-positive interval would leave the chunk loop empty (no
+        # segment routed) or divide by zero
+        with pytest.raises(ValueError, match="cost_refresh_interval"):
+            RouterConfig(cost_refresh_interval=interval)
+        RouterConfig(cost_refresh_interval=1)
+
+    def test_engine_option_is_gone(self):
+        with pytest.raises(TypeError):
+            RouterConfig(engine="batched")
+
 
 class TestGlobalRouter:
     def test_routes_toy_design(self, toy120):

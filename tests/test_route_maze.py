@@ -48,7 +48,7 @@ class TestMazeBasics:
             i1, i2 = rng.integers(0, 14, 2)
             j1, j2 = rng.integers(0, 14, 2)
             pm = maze_route(h, v, int(i1), int(j1), int(i2), int(j2), via_cost=1.0)
-            pp = pattern.route(int(i1), int(j1), int(i2), int(j2))
+            pp = pattern.route_batch([i1], [j1], [i2], [j2]).path(0)
             # maze charges entry cost of the start cell's first move
             # differently; allow a one-cell slack
             assert pm.cost <= pp.cost + max(h.max(), v.max()) + 1e-9

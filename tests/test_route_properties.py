@@ -7,11 +7,17 @@ from hypothesis import strategies as st
 
 from repro.geometry import Grid2D, Rect
 from repro.route import GlobalRouter, RouterConfig, rudy_map
-from repro.route.patterns import PatternRouter
+from repro.route.patterns import PatternRouter, RoutedPath
 from repro.netlist import CellSpec, Netlist, NetSpec, PinSpec
+from tests.kernel_oracles import pattern_route
 
 
 coords = st.integers(0, 15)
+
+
+def _route(router: PatternRouter, i1, j1, i2, j2) -> RoutedPath:
+    """One segment through :meth:`PatternRouter.route_batch`."""
+    return router.route_batch([i1], [j1], [i2], [j2]).path(0)
 
 
 class TestPatternRouterProperties:
@@ -20,7 +26,7 @@ class TestPatternRouterProperties:
     def test_path_cost_lower_bounded_by_manhattan(self, i1, j1, i2, j2):
         """On a unit cost map, cost >= number of G-cells on any monotone path."""
         router = PatternRouter(np.ones((16, 16)), np.ones((16, 16)), via_cost=0.0)
-        p = router.route(i1, j1, i2, j2)
+        p = _route(router, i1, j1, i2, j2)
         if (i1, j1) == (i2, j2):
             assert p.cost == 0
             return
@@ -35,8 +41,8 @@ class TestPatternRouterProperties:
         h = rng.random((16, 16)) + 0.1
         v = rng.random((16, 16)) + 0.1
         router = PatternRouter(h, v, via_cost=0.3)
-        fwd = router.route(i1, j1, i2, j2)
-        rev = router.route(i2, j2, i1, j1)
+        fwd = _route(router, i1, j1, i2, j2)
+        rev = _route(router, i2, j2, i1, j1)
         assert fwd.cost == pytest.approx(rev.cost, rel=1e-9)
 
     @given(coords, coords, coords, coords)
@@ -44,12 +50,31 @@ class TestPatternRouterProperties:
     def test_bends_cost_money(self, i1, j1, i2, j2):
         """With enormous via cost, the router minimizes bends."""
         router = PatternRouter(np.ones((16, 16)), np.ones((16, 16)), via_cost=1e6)
-        p = router.route(i1, j1, i2, j2)
+        p = _route(router, i1, j1, i2, j2)
         if i1 == i2 or j1 == j2:
             assert p.n_bends == 0
         else:
             assert p.n_bends == 1  # an L, never a Z
 
+
+    @given(coords, coords, coords, coords, st.integers(2, 20), st.integers(0, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_path_matches_oracle(self, i1, j1, i2, j2, z_samples, seed):
+        """route_batch picks the scalar oracle's path, ties included.
+
+        Small integer costs make HVH/VHV and bend-position ties common,
+        so the tie-breaking rules are exercised, not just the argmin.
+        """
+        rng = np.random.default_rng(seed)
+        router = PatternRouter(
+            rng.integers(1, 4, (16, 16)).astype(float),
+            rng.integers(1, 4, (16, 16)).astype(float),
+            via_cost=float(seed % 3),
+            z_samples=z_samples,
+        )
+        got = _route(router, i1, j1, i2, j2)
+        want = pattern_route(router, i1, j1, i2, j2)
+        assert (got.runs, got.bends, got.cost) == (want.runs, want.bends, want.cost)
 
 class TestRouterInvariants:
     def _mini_design(self, rng, n=30):

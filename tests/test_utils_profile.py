@@ -140,12 +140,11 @@ class TestMergeAndSerialise:
 
 
 class TestRouterIntegration:
-    @pytest.mark.parametrize("engine", ["scalar", "batched"])
-    def test_router_records_stages(self, engine):
+    def test_router_records_stages(self):
         netlist = toy_design(150, seed=5)
         prof = StageProfiler()
         grid = Grid2D(netlist.die, 16, 16)
-        router = GlobalRouter(grid, RouterConfig(engine=engine), profiler=prof)
+        router = GlobalRouter(grid, RouterConfig(), profiler=prof)
         result = router.route(netlist)
         assert prof.counters["route.calls"] == 1
         assert prof.counters["route.segments"] == result.n_segments
