@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from repro.bench.parallel import run_sweep
+from repro.bench.parallel import check_supervision, run_sweep
 from repro.evalrt.report import MetricRow, format_table
 from repro.synth.suite import suite_names
 
@@ -31,7 +31,7 @@ def main() -> int:
                         help="write the merged telemetry stream (JSONL)")
     parser.add_argument("--job-timeout", type=float, default=None,
                         help="per-design wall-clock deadline in seconds "
-                             "(supervisor-enforced, pooled runs)")
+                             "(supervisor-enforced; needs --jobs > 1)")
     parser.add_argument("--heartbeat-timeout", type=float, default=None,
                         help="reap a pooled design after this many seconds "
                              "without a flow progress beat")
@@ -42,6 +42,10 @@ def main() -> int:
                         help="checkpoint each design's flows here; retries "
                              "resume instead of recomputing")
     args = parser.parse_args()
+    try:
+        check_supervision(args.jobs, args.job_timeout, args.heartbeat_timeout)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     names = args.designs or suite_names()
     t0 = time.time()

@@ -21,8 +21,12 @@ sequential scripts never had to state:
 
 Workers regenerate their design from ``(name, scale, seed)`` instead
 of receiving a pickled netlist, so task payloads stay tiny.  With
-``jobs <= 1`` everything runs in-process (no pool, no pickling), which
-is also the deterministic fallback when a pool breaks.
+``jobs <= 1`` everything runs in-process (no pool, no pickling).
+
+:func:`run_tasks` is the one dispatch for both sweep front ends: the
+Table I/II sweeps here and the DSE grid sweeps
+(:mod:`repro.dse.runner`, whose units are :class:`SweepTask` objects
+with their knobs bound onto the configs).
 
 Supervision: the pooled path runs on the :mod:`repro.jobs` runtime —
 one supervised process per design with wall-clock deadlines
@@ -73,7 +77,12 @@ TABLE2_DESIGNS = (
 
 @dataclass
 class SweepTask:
-    """One design's work order, small enough to pickle cheaply."""
+    """One design's work order, small enough to pickle cheaply.
+
+    ``command`` and ``sweep`` label the design's ``run.start`` event
+    (``sweep`` defaults to ``kind``); DSE units set ``"dse"`` and the
+    sweep name.
+    """
 
     index: int
     kind: str  # "table1" | "table2"
@@ -88,6 +97,8 @@ class SweepTask:
     #: Per-design checkpoint directory (one file per flow); retried
     #: attempts resume from it.  ``None`` disables checkpointing.
     checkpoint_dir: str | None = None
+    command: str = "bench"
+    sweep: str | None = None
 
 
 @dataclass
@@ -120,7 +131,7 @@ class SweepResult:
     """All design runs of one sweep, in input order.
 
     ``supervisor_events`` is the supervisor's own ``job.*`` lifecycle
-    stream (submit/start/end/timeout/hung/crashed/retry/degrade) —
+    stream (submit/start/end/timeout/hung/crashed/retry) —
     kept separate from the per-design worker segments so the merged
     design stream stays bit-identical to an unsupervised run.
     """
@@ -166,8 +177,6 @@ def merge_event_segments(segments: list) -> list:
 
 def write_events_jsonl(path: str, events: list) -> None:
     """Write a merged event stream as JSONL (one object per line)."""
-    import os
-
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -212,7 +221,10 @@ def run_sweep_task(task: SweepTask, ctx=None) -> DesignRun:
     sink = MemorySink()
     metrics = MetricsRegistry(sink=sink)
     start_fields = dict(
-        command="bench", sweep=task.kind, design=task.name, shard=task.index
+        command=task.command,
+        sweep=task.sweep or task.kind,
+        design=task.name,
+        shard=task.index,
     )
     if attempt > 0:
         start_fields["attempt"] = attempt
@@ -316,7 +328,8 @@ def run_sweep(
     jobs:
         Worker processes.  ``jobs <= 1`` runs in-process.  Wall-clock
         scales with physical cores — a single-core host sees parity,
-        not a win.
+        not a win.  ``job_timeout`` / ``heartbeat_timeout`` need
+        ``jobs > 1`` (``ValueError`` otherwise).
     fault_plans:
         :class:`~repro.utils.faults.FaultPlan` tuple installed inside
         each worker for its design (tests target one design via the
@@ -326,10 +339,10 @@ def run_sweep(
         there as JSONL after the sweep.
     job_timeout:
         Per-design wall-clock deadline in seconds, enforced by the
-        supervisor (pooled runs only); ``None`` = no limit.
+        supervisor; ``None`` = no limit.
     heartbeat_timeout:
         Maximum silence (seconds without a flow progress beat) before
-        a pooled design counts as hung and is reaped; ``None``
+        a design's worker counts as hung and is reaped; ``None``
         disables hung detection.
     max_retries:
         Replacement attempts after an involuntary worker death
@@ -371,17 +384,13 @@ def run_sweep(
         for i, name in enumerate(names)
     ]
     t0 = time.perf_counter()
-    supervisor_events: list = []
-    if jobs <= 1 or len(tasks) <= 1:
-        runs = [run_sweep_task(task) for task in tasks]
-    else:
-        runs, supervisor_events = _run_supervised(
-            tasks,
-            jobs,
-            job_timeout=job_timeout,
-            heartbeat_timeout=heartbeat_timeout,
-            max_retries=max_retries,
-        )
+    runs, supervisor_events = run_tasks(
+        tasks,
+        jobs,
+        job_timeout=job_timeout,
+        heartbeat_timeout=heartbeat_timeout,
+        max_retries=max_retries,
+    )
     result = SweepResult(
         runs=runs,
         jobs=max(1, jobs),
@@ -396,42 +405,76 @@ def run_sweep(
     return result
 
 
-def _run_supervised(
-    tasks: list,
+def check_supervision(
     jobs: int,
     job_timeout: float | None = None,
     heartbeat_timeout: float | None = None,
-    max_retries: int = 1,
-) -> tuple:
-    """Dispatch tasks to the supervised job runtime; returns
-    ``(runs, supervisor_events)``.
+) -> None:
+    """Reject deadlines that no supervisor would enforce.
 
-    One :class:`~repro.jobs.spec.JobSpec` per design, executed by
-    :func:`repro.jobs.run_jobs` — which owns deadlines, hung-worker
-    reaping, retry-with-backoff (warm-starting from the task's
-    checkpoint directory when it has one) and the degradation ladder
-    (replacement worker -> fresh supervisor -> in-process).  A design
-    exception is already captured *inside* :func:`run_sweep_task`; a
-    job that ends in any other state than ``done`` gets a synthesized
-    error entry carrying the supervisor's structured reason, so the
-    sweep always reports every design in input order.
+    With ``jobs <= 1`` the tasks run in this process, where nothing can
+    kill a design past its deadline; a ``ValueError`` says so instead
+    of ignoring the flag.
+    """
+    if jobs > 1:
+        return
+    for name, value in (
+        ("job_timeout", job_timeout),
+        ("heartbeat_timeout", heartbeat_timeout),
+    ):
+        if value is not None:
+            raise ValueError(
+                f"{name} needs jobs > 1: with jobs={jobs} the tasks run in "
+                f"this process, where no deadline can be enforced"
+            )
+
+
+def run_tasks(
+    tasks: list,
+    jobs: int = 1,
+    job_timeout: float | None = None,
+    heartbeat_timeout: float | None = None,
+    max_retries: int = 1,
+    command: str = "bench",
+    job_ids: list | None = None,
+) -> tuple:
+    """Run sweep tasks in input order; returns ``(runs, supervisor_events)``.
+
+    ``jobs <= 1`` is a plain loop in this process and emits no
+    supervisor stream.  ``jobs > 1`` dispatches one
+    :class:`~repro.jobs.spec.JobSpec` per task to a
+    :class:`~repro.jobs.supervisor.Supervisor`, which owns deadlines,
+    hung-worker reaping and retry-with-backoff (warm-starting from the
+    task's checkpoint directory when it has one); its ``job.*`` events
+    go to a separate ``<command>.supervise`` segment.  Job ids default
+    to ``<name>@<index>``.
+
+    A design exception is already captured *inside*
+    :func:`run_sweep_task`; a job that ends in any other state than
+    ``done`` gets a synthesized error entry carrying the supervisor's
+    structured reason, so every task reports, in input order.
     """
     from repro.jobs import DONE, JobSpec, SupervisorConfig, run_jobs
     from repro.utils.metrics import MemorySink, MetricsRegistry
 
+    check_supervision(jobs, job_timeout, heartbeat_timeout)
+    if jobs <= 1:
+        return [run_sweep_task(task) for task in tasks], []
+    if job_ids is None:
+        job_ids = [f"{task.name}@{task.index}" for task in tasks]
     sink = MemorySink()
     sup_metrics = MetricsRegistry(sink=sink)
-    sup_metrics.start_run(command="bench.supervise", jobs=jobs)
+    sup_metrics.start_run(command=f"{command}.supervise", jobs=jobs)
     specs = [
         JobSpec(
-            job_id=f"{task.name}@{task.index}",
+            job_id=job_id,
             fn=run_sweep_task,
             args=(task,),
             with_context=True,
             checkpoint_path=task.checkpoint_dir,
             index=task.index,
         )
-        for task in tasks
+        for job_id, task in zip(job_ids, tasks)
     ]
     config = SupervisorConfig(
         max_workers=jobs,
@@ -444,16 +487,6 @@ def _run_supervised(
 
     runs: list = []
     for task, job in zip(tasks, job_results):
-        if job is None:  # pragma: no cover — defensive (skipped job)
-            runs.append(
-                DesignRun(
-                    design=task.name,
-                    index=task.index,
-                    error="job produced no result",
-                    job_state="lost",
-                )
-            )
-            continue
         if job.state == DONE and job.value is not None:
             run = job.value
             run.attempts = job.attempts

@@ -123,16 +123,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import PlacementService, ServiceConfig
 
-    service = PlacementService(ServiceConfig(
-        root=args.root,
-        host=args.host,
-        port=args.port,
-        max_workers=args.max_workers,
-        execution=args.execution,
-        job_timeout=args.job_timeout,
-        heartbeat_timeout=args.heartbeat_timeout,
-        max_retries=args.job_retries,
-    ))
+    try:
+        service = PlacementService(ServiceConfig(
+            root=args.root,
+            host=args.host,
+            port=args.port,
+            max_workers=args.max_workers,
+            job_timeout=args.job_timeout,
+            heartbeat_timeout=args.heartbeat_timeout,
+            max_retries=args.job_retries,
+        ))
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
     host, port = service.start()
     print(f"placement service on {host}:{port} (root {service.root})")
 
@@ -262,11 +264,22 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_supervision(args: argparse.Namespace) -> None:
+    """Exit with an error on deadline flags that ``--jobs`` cannot enforce."""
+    from repro.bench.parallel import check_supervision
+
+    try:
+        check_supervision(args.jobs, args.job_timeout, args.heartbeat_timeout)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench.parallel import TABLE2_DESIGNS, run_sweep
     from repro.evalrt.report import MetricRow, format_table
     from repro.synth.suite import suite_names
 
+    _check_supervision(args)
     kind = f"table{args.table}"
     if args.designs:
         names = args.designs
@@ -342,6 +355,7 @@ def _cmd_dse_run(args: argparse.Namespace) -> int:
     from repro.dse.grid import load_spec
     from repro.dse.runner import run_grid
 
+    _check_supervision(args)
     spec = load_spec(args.grid)
     result = run_grid(
         spec,
@@ -566,11 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "(one JSONL segment per design, input order)")
     p.add_argument("--job-timeout", type=float, default=None, metavar="S",
                    help="per-design wall-clock deadline in seconds, "
-                        "supervisor-enforced (pooled runs; default: none)")
+                        "supervisor-enforced (needs --jobs > 1; default: "
+                        "none)")
     p.add_argument("--heartbeat-timeout", type=float, default=None,
                    metavar="S",
-                   help="reap a pooled design after S seconds without a "
-                        "flow progress beat (hung worker; default: off)")
+                   help="reap a design's worker after S seconds without a "
+                        "flow progress beat (hung worker; needs --jobs > 1; "
+                        "default: off)")
     p.add_argument("--job-retries", type=int, default=1, metavar="N",
                    help="replacement attempts after an involuntary worker "
                         "death (crash/hang/timeout; default: 1)")
@@ -589,19 +605,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bind port (0 = pick a free one; the resolved "
                         "address is written to <root>/service.json)")
     p.add_argument("--max-workers", type=int, default=1, metavar="N",
-                   help="concurrent supervised worker processes")
-    p.add_argument("--execution", choices=("supervised", "inline"),
-                   default="supervised",
-                   help="supervised = one worker process per job "
-                        "(deadlines/heartbeats/retries); inline = run "
-                        "jobs serially in the daemon sharing its warm "
+                   help="concurrent supervised worker processes, one per "
+                        "job (deadlines/heartbeats/retries); 0 runs jobs "
+                        "serially inside the daemon, sharing its warm "
                         "caches")
     p.add_argument("--job-timeout", type=float, default=None, metavar="S",
-                   help="per-job wall-clock deadline (supervised only)")
+                   help="per-job wall-clock deadline (needs "
+                        "--max-workers >= 1)")
     p.add_argument("--heartbeat-timeout", type=float, default=None,
                    metavar="S",
                    help="reap a job after S seconds without a progress "
-                        "beat (supervised only)")
+                        "beat (needs --max-workers >= 1)")
     p.add_argument("--job-retries", type=int, default=1, metavar="N",
                    help="replacement attempts after an involuntary "
                         "worker death")
@@ -661,8 +675,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out-dir", default="dse_out",
                    help="directory for unit payloads + manifest")
     q.add_argument("--db", default=None, help="sqlite run database to ingest into")
-    q.add_argument("--job-timeout", type=float, default=None)
-    q.add_argument("--heartbeat-timeout", type=float, default=None)
+    q.add_argument("--job-timeout", type=float, default=None,
+                   help="per-unit wall-clock deadline (needs --jobs > 1)")
+    q.add_argument("--heartbeat-timeout", type=float, default=None,
+                   help="reap a unit's worker after S seconds without a "
+                        "progress beat (needs --jobs > 1)")
     q.add_argument("--job-retries", type=int, default=1)
     q.set_defaults(func=_cmd_dse_run)
 

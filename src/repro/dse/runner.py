@@ -1,12 +1,13 @@
-"""Sweep execution: run grid units in-process, supervised, or remote.
+"""Sweep execution: run grid units locally or on a service daemon.
 
-Three execution paths share the same deterministic unit list from
+Both paths share the same deterministic unit list from
 :func:`repro.dse.grid.make_units`:
 
-* ``jobs <= 1`` — plain in-process loop (bit-identical baseline);
-* ``jobs > 1`` — one :class:`~repro.jobs.spec.JobSpec` per unit
-  dispatched through :func:`repro.jobs.run_jobs`, inheriting the
-  supervisor's deadlines, hung-worker reaping and retry-with-resume;
+* :func:`run_grid` — each unit becomes a bench
+  :class:`~repro.bench.parallel.SweepTask` (knobs bound onto its
+  configs, labelled ``command="dse"`` and the sweep name) and runs
+  through :func:`repro.bench.parallel.run_tasks`: a plain in-process
+  loop for ``jobs <= 1``, the supervised job runtime for ``jobs > 1``;
 * :func:`submit_grid` — units posted to a running ``repro serve``
   daemon as ``place`` jobs whose ``overrides`` payload field carries
   the unit's knob mapping.
@@ -21,10 +22,10 @@ from __future__ import annotations
 
 import json
 import time
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.bench.parallel import SweepTask, run_sweep_task, run_tasks
 from repro.dse.grid import DseUnit, GridSpec, apply_knobs, make_units
 
 
@@ -33,70 +34,55 @@ def _unit_filename(unit_id: str) -> str:
     return unit_id.replace(":", "__").replace("/", "_") + ".json"
 
 
-def run_unit(unit: DseUnit, ctx=None) -> dict:
-    """Execute one sweep unit; never raises (except cancellation).
+def _sweep_name(unit: DseUnit) -> str:
+    return unit.unit_id.split(":", 1)[0]
 
-    Mirrors :func:`repro.bench.parallel.run_sweep_task`: telemetry goes
-    to a private in-memory registry whose events ride back on the
-    payload, exceptions become traceback strings, and
-    :class:`~repro.jobs.spec.JobCancelled` is re-raised so a supervised
-    worker reports ``cancelled`` rather than a unit failure.
-    """
-    from repro.jobs.spec import JobCancelled
-    from repro.utils.metrics import MemorySink, MetricsRegistry
 
-    attempt = ctx.attempt if ctx is not None else 0
-    t0 = time.perf_counter()
-    sink = MemorySink()
-    metrics = MetricsRegistry(sink=sink)
-    start_fields = dict(command="dse", sweep=unit.unit_id.split(":", 1)[0],
-                        design=unit.design, shard=unit.index)
-    if attempt > 0:
-        start_fields["attempt"] = attempt
-    metrics.start_run(**start_fields)
-    error = None
-    rows: list = []
-    try:
-        rows = _run_unit_flow(unit, apply_knobs(unit.knobs), metrics)
-    except JobCancelled:
-        raise
-    except BaseException:
-        error = traceback.format_exc()
-    metrics.close()
-    events = [json.loads(line) for line in sink.lines]
+def _unit_task(unit: DseUnit) -> SweepTask:
+    """The bench task that runs one unit: its knobs bound onto the
+    configs, labelled ``command="dse"`` and the sweep name."""
+    binding = apply_knobs(unit.knobs)
+    return SweepTask(
+        index=unit.index,
+        kind="table1",
+        name=unit.design,
+        scale=unit.scale,
+        seed=unit.seed,
+        placers=tuple(unit.placers),
+        gp_config=binding.gp_config,
+        rd_config=binding.rd_config,
+        command="dse",
+        sweep=_sweep_name(unit),
+    )
+
+
+def _unit_payload(unit: DseUnit, run) -> dict:
+    """The unit's JSON payload (``dse_unit: 1``) from its
+    :class:`~repro.bench.parallel.DesignRun`."""
     return {
         "dse_unit": 1,
-        "sweep": unit.unit_id.split(":", 1)[0],
+        "sweep": _sweep_name(unit),
         "unit_id": unit.unit_id,
         "unit_index": unit.index,
         "point": unit.point,
         "design": unit.design,
         "knobs": dict(unit.knobs),
         "placers": list(unit.placers),
-        "rows": rows,
-        "events": events,
-        "error": error,
-        "elapsed_s": time.perf_counter() - t0,
+        "rows": run.rows,
+        "events": run.events,
+        "error": run.error,
+        "elapsed_s": run.elapsed,
     }
 
 
-def _run_unit_flow(unit: DseUnit, binding, metrics) -> list:
-    """Generate the design and run the bench flow under the binding."""
-    from repro.bench.harness import run_design, table_rows
-    from repro.synth.suite import suite_design
+def run_unit(unit: DseUnit, ctx=None) -> dict:
+    """Execute one sweep unit; never raises (except cancellation).
 
-    netlist = suite_design(unit.design, scale=unit.scale, seed=unit.seed)
-    outcome = run_design(
-        netlist,
-        placers=unit.placers,
-        gp_config=binding.gp_config,
-        rd_config=binding.rd_config,
-        metrics=metrics,
-    )
-    return [
-        {"design": row.design, "placer": row.placer, "metrics": dict(row.metrics)}
-        for row in table_rows([outcome])
-    ]
+    A thin mapping over :func:`repro.bench.parallel.run_sweep_task`:
+    telemetry rides back on the payload, exceptions become traceback
+    strings, and :class:`~repro.jobs.spec.JobCancelled` is re-raised.
+    """
+    return _unit_payload(unit, run_sweep_task(_unit_task(unit), ctx=ctx))
 
 
 @dataclass
@@ -113,7 +99,7 @@ class GridResult:
     def errors(self) -> list:
         """``(unit_id, error)`` pairs for units that failed."""
         return [(p["unit_id"], p["error"]) for p in self.payloads
-                if p and p.get("error")]
+                if p["error"]]
 
 
 def _sweep_events(spec: GridSpec, units: list) -> list:
@@ -140,21 +126,26 @@ def run_grid(spec: GridSpec, jobs: int = 1, out_dir=None, db_path=None,
     """Run every unit of a grid spec; optionally persist and ingest.
 
     With ``jobs > 1`` the units run under the supervised job runtime
-    (one worker process per unit, ``jobs`` at a time); the supervisor's
-    own ``job.*`` lifecycle segment is appended to the sweep events.
-    Unit payload order always matches unit order, independent of worker
-    completion order.
+    (one worker process per unit, ``jobs`` at a time, job id = unit
+    id); the supervisor's own ``job.*`` lifecycle segment
+    (``dse.supervise``) is appended to the sweep events.  The deadlines
+    need ``jobs > 1`` (``ValueError`` otherwise).  Unit payload order
+    always matches unit order, independent of worker completion order.
     """
     t0 = time.perf_counter()
     units = make_units(spec)
     events = _sweep_events(spec, units)
-
-    if jobs <= 1:
-        payloads = [run_unit(unit) for unit in units]
-    else:
-        payloads, sup_events = _run_supervised(
-            units, jobs, job_timeout, heartbeat_timeout, max_retries)
-        events = events + sup_events
+    runs, sup_events = run_tasks(
+        [_unit_task(unit) for unit in units],
+        jobs,
+        job_timeout=job_timeout,
+        heartbeat_timeout=heartbeat_timeout,
+        max_retries=max_retries,
+        command="dse",
+        job_ids=[unit.unit_id for unit in units],
+    )
+    payloads = [_unit_payload(unit, run) for unit, run in zip(units, runs)]
+    events = events + sup_events
 
     result = GridResult(spec=spec, units=units, payloads=payloads,
                         events=events, elapsed_s=time.perf_counter() - t0)
@@ -165,54 +156,8 @@ def run_grid(spec: GridSpec, jobs: int = 1, out_dir=None, db_path=None,
 
         with RunDB(db_path) as db:
             for payload in payloads:
-                if payload is not None:
-                    db.ingest_unit_payload(payload, source=f"sweep:{spec.name}")
+                db.ingest_unit_payload(payload, source=f"sweep:{spec.name}")
     return result
-
-
-def _run_supervised(units: list, jobs: int, job_timeout, heartbeat_timeout,
-                    max_retries) -> tuple:
-    """Dispatch units through :func:`repro.jobs.run_jobs`."""
-    from repro.jobs import DONE, JobSpec, SupervisorConfig, run_jobs
-    from repro.utils.metrics import MemorySink, MetricsRegistry
-
-    sink = MemorySink()
-    sup_metrics = MetricsRegistry(sink=sink)
-    sup_metrics.start_run(command="dse.supervise", jobs=jobs)
-    specs = [
-        JobSpec(job_id=unit.unit_id, fn=run_unit, args=(unit,),
-                with_context=True, index=unit.index)
-        for unit in units
-    ]
-    config = SupervisorConfig(max_workers=jobs, timeout=job_timeout,
-                              heartbeat_timeout=heartbeat_timeout,
-                              max_retries=max_retries)
-    job_results = run_jobs(specs, config=config, metrics=sup_metrics)
-    sup_metrics.close()
-
-    payloads = []
-    for unit, job in zip(units, job_results):
-        if job is not None and job.state == DONE and job.value is not None:
-            payloads.append(job.value)
-        else:
-            state = job.state if job is not None else "lost"
-            error = (job.error if job is not None else None) \
-                or f"job ended in state {state!r}"
-            payloads.append({
-                "dse_unit": 1,
-                "sweep": unit.unit_id.split(":", 1)[0],
-                "unit_id": unit.unit_id,
-                "unit_index": unit.index,
-                "point": unit.point,
-                "design": unit.design,
-                "knobs": dict(unit.knobs),
-                "placers": list(unit.placers),
-                "rows": [],
-                "events": [],
-                "error": error,
-                "elapsed_s": job.elapsed if job is not None else 0.0,
-            })
-    return payloads, [json.loads(line) for line in sink.lines]
 
 
 def _write_outputs(result: GridResult, out_dir) -> None:
@@ -221,8 +166,6 @@ def _write_outputs(result: GridResult, out_dir) -> None:
     units_dir = out / "units"
     units_dir.mkdir(parents=True, exist_ok=True)
     for payload in result.payloads:
-        if payload is None:
-            continue
         path = units_dir / _unit_filename(payload["unit_id"])
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     manifest = {

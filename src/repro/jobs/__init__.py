@@ -1,11 +1,11 @@
 """Supervised job runtime: specs, workers, and the supervisor.
 
-Public API of the execution layer under :mod:`repro.bench.parallel`:
+Public API of the one job executor (sweeps, DSE and the service daemon):
 build :class:`JobSpec` work orders, hand them to :func:`run_jobs` (or
 a long-lived :class:`Supervisor`), and get :class:`JobResult` outcomes
-back in submission order — with timeouts, hung-worker reaping, retry
-from checkpoint, and graceful degradation handled here rather than in
-every caller.
+back in submission order — with timeouts, hung-worker reaping and
+retry from checkpoint handled here rather than in every caller.
+``SupervisorConfig(max_workers=0)`` runs jobs inline, in this process.
 """
 
 from repro.jobs.spec import (
@@ -29,7 +29,6 @@ from repro.jobs.supervisor import (
     SupervisorConfig,
     SupervisorError,
     compute_backoff,
-    run_job_in_process,
     run_jobs,
 )
 
@@ -52,6 +51,5 @@ __all__ = [
     "SupervisorConfig",
     "SupervisorError",
     "compute_backoff",
-    "run_job_in_process",
     "run_jobs",
 ]

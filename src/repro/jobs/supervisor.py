@@ -1,4 +1,4 @@
-"""Supervised job execution: deadlines, heartbeats, retries, degradation.
+"""Supervised job execution: deadlines, heartbeats, retries, inline mode.
 
 The :class:`Supervisor` runs :class:`~repro.jobs.spec.JobSpec` work
 orders in child processes (one process per attempt, up to
@@ -17,20 +17,26 @@ workers themselves cannot be trusted with:
   ``checkpoint_path`` warm-starts from its last atomic checkpoint;
 * **cooperative cancellation** — :meth:`Supervisor.cancel` flags the
   job's cancel file (picked up at the next heartbeat), escalating to
-  SIGTERM and finally SIGKILL after a grace period;
-* **graceful degradation** — a dead worker gets a replacement process
-  (retry); a supervisor that cannot run processes at all is rebuilt
-  once by :func:`run_jobs`, and as the last rung the remaining jobs
-  run in-process sequentially.  Every rung emits a ``job.degrade``
-  telemetry event.
+  SIGTERM and finally SIGKILL after a grace period.
+
+With ``max_workers=0`` the supervisor runs **inline**: one job at a
+time, in this process, on a helper thread.  The job shares the
+process's memory (its kwargs need not pickle, so a daemon can hand it
+a warm cache); thread liveness stands in for the worker's exit code
+and a :class:`threading.Event` polled at each heartbeat stands in for
+the cancel file.  A thread cannot be killed, so inline jobs have no
+deadlines (:class:`SupervisorConfig` rejects them) and stop only at a
+progress beat.
 
 Results come back in submission order, every job reporting a
 structured :class:`~repro.jobs.spec.JobResult` — the supervisor never
-raises because of anything a *job* did.
+raises because of anything a *job* did.  When it cannot start a
+worker at all it raises :class:`SupervisorError`; nothing falls back
+to another way of running the job.
 
-This is the execution skeleton the bench sweep runner
-(:mod:`repro.bench.parallel`) sits on, and the worker-pool layer a
-placement-as-a-service daemon plugs into.
+This is the one job executor of the repository: the bench and DSE
+sweep runners (:mod:`repro.bench.parallel`) and the placement service
+daemon all run their jobs through it.
 """
 
 from __future__ import annotations
@@ -40,37 +46,43 @@ import os
 import random
 import shutil
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 
 from repro.jobs.spec import (
     CANCELLED,
     CRASHED,
-    DONE,
-    FAILED,
     HUNG,
     PENDING,
     RETRYABLE_STATES,
     RUNNING,
     TIMEOUT,
     JobCancelled,
-    JobContext,
     JobResult,
     JobSpec,
 )
-from repro.jobs.worker import CANCEL_FILE, HEARTBEAT_FILE, read_result, worker_main
+from repro.jobs.worker import (
+    CANCEL_FILE,
+    HEARTBEAT_FILE,
+    read_result,
+    run_attempt,
+    worker_main,
+)
 from repro.utils.logging import get_logger
 from repro.utils.metrics import NULL
 
 logger = get_logger("jobs.supervisor")
 
+#: Seconds :meth:`Supervisor.close` waits for a cancelled inline job.
+INLINE_CLOSE_TIMEOUT = 60.0
+
 
 class SupervisorError(RuntimeError):
     """The supervisor itself (not a job) cannot make progress.
 
-    Raised when worker processes cannot be started at all;
-    :func:`run_jobs` reacts by climbing the degradation ladder instead
-    of failing the batch.
+    Raised when a worker (process or inline thread) cannot be started;
+    it propagates to the caller.
     """
 
 
@@ -81,10 +93,12 @@ class SupervisorConfig:
     Attributes
     ----------
     max_workers:
-        Concurrent worker processes.
+        Concurrent worker processes; ``0`` runs jobs inline, one at a
+        time on a helper thread of this process.
     timeout / heartbeat_timeout:
         Defaults for specs that leave theirs ``None`` — see
-        :class:`~repro.jobs.spec.JobSpec`.
+        :class:`~repro.jobs.spec.JobSpec`.  Rejected with
+        ``max_workers=0``: nothing can kill a thread.
     heartbeat_interval:
         Worker-side throttle between heartbeat file updates; keep well
         under ``heartbeat_timeout``.
@@ -111,6 +125,24 @@ class SupervisorConfig:
     backoff_jitter: float = 0.25
     poll_interval: float = 0.02
     cancel_grace: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.max_workers < 0:
+            raise ValueError(
+                f"max_workers must be >= 0, got {self.max_workers}"
+            )
+        if self.max_workers == 0:
+            _check_inline_deadlines(self, "max_workers=0")
+
+
+def _check_inline_deadlines(obj, where: str) -> None:
+    """Reject deadlines on inline jobs: a thread cannot be killed."""
+    for name in ("timeout", "heartbeat_timeout"):
+        if getattr(obj, name) is not None:
+            raise ValueError(
+                f"{name} cannot be enforced with {where}: inline jobs run "
+                f"on a thread, which cannot be killed"
+            )
 
 
 def compute_backoff(config: SupervisorConfig, job_id: str, attempt: int) -> float:
@@ -146,14 +178,50 @@ class _Job:
     result: JobResult | None = None
 
     @property
-    def timeout(self) -> float | None:
-        """Effective wall-clock limit (spec overrides config default)."""
-        return self.spec.timeout
-
-    @property
     def done(self) -> bool:
         """True once a terminal :class:`JobResult` is recorded."""
         return self.result is not None
+
+
+class _InlineWorker:
+    """Stand-in for a worker process: one attempt on a helper thread.
+
+    Exposes the slice of the ``multiprocessing.Process`` interface the
+    supervisor reads (``start``/``join``/``exitcode``/``pid``); the
+    attempt's outcome lands in :attr:`payload` instead of a result
+    file, and :attr:`cancel` replaces the cancel file.
+    """
+
+    def __init__(self, spec: JobSpec, attempt: int) -> None:
+        self.pid = os.getpid()
+        self.cancel = threading.Event()
+        self.payload = None
+        self._thread = threading.Thread(
+            target=self._run,
+            args=(spec, attempt),
+            daemon=True,
+            name=f"repro-job-{spec.job_id}-{attempt}",
+        )
+
+    def _run(self, spec: JobSpec, attempt: int) -> None:
+        self.payload = run_attempt(spec, attempt, self._beat)
+
+    def _beat(self) -> None:
+        if self.cancel.is_set():
+            raise JobCancelled("cancel requested by supervisor")
+
+    def start(self) -> None:
+        """Start the helper thread."""
+        self._thread.start()
+
+    def join(self, timeout: float | None = None) -> None:
+        """Wait for the attempt to finish."""
+        self._thread.join(timeout)
+
+    @property
+    def exitcode(self) -> int | None:
+        """``None`` while the attempt runs, ``0`` once it returned."""
+        return None if self._thread.is_alive() else 0
 
 
 class Supervisor:
@@ -164,7 +232,8 @@ class Supervisor:
     incremental API (:meth:`submit` / :meth:`poll` / :meth:`wait` /
     :meth:`cancel`) exists so a long-running service can feed jobs in
     over time; :meth:`run` is the batch convenience used by the sweep
-    runner.
+    runner.  :meth:`poll`, :meth:`cancel` and :meth:`close` are meant
+    to be called from one thread, inline mode included.
     """
 
     def __init__(
@@ -176,6 +245,7 @@ class Supervisor:
         self.config = config or SupervisorConfig()
         self.metrics = metrics
         self._ctx = mp_context or multiprocessing.get_context()
+        self.inline = self.config.max_workers == 0
         self._jobs: dict = {}
         self._order: list = []
         self._delivered: set = set()
@@ -190,12 +260,27 @@ class Supervisor:
         self.close()
 
     def close(self) -> None:
-        """SIGKILL any still-running workers and remove scratch files."""
+        """Stop running workers and remove scratch files.
+
+        Worker processes are SIGKILLed.  An inline job is cancelled
+        and awaited until its next progress beat (up to
+        :data:`INLINE_CLOSE_TIMEOUT` seconds).
+        """
         if self._closed:
             return
         self._closed = True
         for job in self._jobs.values():
-            if job.proc is not None and job.proc.is_alive():
+            if job.proc is None or job.proc.exitcode is not None:
+                continue
+            if self.inline:
+                job.proc.cancel.set()
+                job.proc.join(timeout=INLINE_CLOSE_TIMEOUT)
+                if job.proc.exitcode is None:
+                    logger.error(
+                        "inline job %s did not stop within %.0fs of close",
+                        job.spec.job_id, INLINE_CLOSE_TIMEOUT,
+                    )
+            else:
                 job.proc.kill()
                 job.proc.join(timeout=5)
         shutil.rmtree(self._root, ignore_errors=True)
@@ -205,6 +290,8 @@ class Supervisor:
         """Queue one job; returns its id.  Ids must be unique."""
         if spec.job_id in self._jobs:
             raise ValueError(f"duplicate job id {spec.job_id!r}")
+        if self.inline:
+            _check_inline_deadlines(spec, f"inline job {spec.job_id!r}")
         job = _Job(spec=spec, order=len(self._order))
         self._jobs[spec.job_id] = job
         self._order.append(spec.job_id)
@@ -225,7 +312,10 @@ class Supervisor:
         if not job.cancel_requested:
             job.cancel_requested = True
             job.cancel_since = time.monotonic()
-            self._touch(os.path.join(job.workdir, CANCEL_FILE))
+            if self.inline:
+                job.proc.cancel.set()
+            else:
+                self._touch(os.path.join(job.workdir, CANCEL_FILE))
 
     def results(self) -> list:
         """Terminal :class:`JobResult` entries so far, submission order."""
@@ -260,14 +350,6 @@ class Supervisor:
         proc = self._jobs[job_id].proc
         return proc.pid if proc is not None else None
 
-    def unfinished_specs(self) -> list:
-        """Specs of jobs without a terminal result (for ladder rebuilds)."""
-        return [
-            self._jobs[jid].spec
-            for jid in self._order
-            if self._jobs[jid].result is None
-        ]
-
     def run(self, specs) -> list:
         """Submit ``specs`` and block until every job is terminal."""
         for spec in specs:
@@ -298,6 +380,8 @@ class Supervisor:
         if proc.exitcode is not None:
             self._reap(job)
             return
+        if self.inline:
+            return  # no deadline or escalation can act on a thread
         self._refresh_beat(job, now)
         if job.cancel_requested:
             waited = now - job.cancel_since
@@ -370,7 +454,10 @@ class Supervisor:
     def _reap(self, job: _Job) -> None:
         """Classify a worker that exited on its own (or was killed)."""
         job.proc.join(timeout=5)
-        payload = read_result(job.workdir)
+        if self.inline:
+            payload = job.proc.payload
+        else:
+            payload = read_result(job.workdir)
         if payload is not None:
             self._attempt_ended(
                 job, payload["state"], payload["error"], value=payload["value"]
@@ -484,8 +571,9 @@ class Supervisor:
         running = sum(
             1 for j in self._jobs.values() if j.state == RUNNING
         )
+        capacity = max(1, self.config.max_workers)
         for job_id in self._order:
-            if running >= self.config.max_workers:
+            if running >= capacity:
                 return
             job = self._jobs[job_id]
             if job.done or job.state != PENDING or now < job.not_before:
@@ -494,26 +582,29 @@ class Supervisor:
             running += 1
 
     def _start(self, job: _Job, now: float) -> None:
-        job.workdir = os.path.join(
-            self._root, f"{job.spec.index}-{job.attempt}"
-        )
-        os.makedirs(job.workdir, exist_ok=True)
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(
-                job.spec,
-                job.attempt,
-                job.workdir,
-                self.config.heartbeat_interval,
-            ),
-            daemon=True,
-            name=f"repro-job-{job.spec.job_id}-{job.attempt}",
-        )
+        if self.inline:
+            proc = _InlineWorker(job.spec, job.attempt)
+        else:
+            job.workdir = os.path.join(
+                self._root, f"{job.spec.index}-{job.attempt}"
+            )
+            os.makedirs(job.workdir, exist_ok=True)
+            proc = self._ctx.Process(
+                target=worker_main,
+                args=(
+                    job.spec,
+                    job.attempt,
+                    job.workdir,
+                    self.config.heartbeat_interval,
+                ),
+                daemon=True,
+                name=f"repro-job-{job.spec.job_id}-{job.attempt}",
+            )
         try:
             proc.start()
-        except OSError as exc:
+        except (OSError, RuntimeError) as exc:
             raise SupervisorError(
-                f"cannot start worker process for {job.spec.job_id!r}: {exc}"
+                f"cannot start worker for {job.spec.job_id!r}: {exc}"
             ) from exc
         job.proc = proc
         job.state = RUNNING
@@ -537,43 +628,6 @@ class Supervisor:
             fh.write("1")
 
 
-# ----------------------------------------------------------------------
-# degradation ladder
-# ----------------------------------------------------------------------
-def run_job_in_process(spec: JobSpec) -> JobResult:
-    """Last-rung execution: run ``spec`` in this process, no isolation.
-
-    Deadlines and heartbeat reaping cannot be enforced here (there is
-    no supervisor left to do the killing); the trade is availability —
-    a sweep still completes on a host where processes cannot be
-    spawned at all.
-    """
-    t0 = time.monotonic()
-    kwargs = dict(spec.kwargs)
-    if spec.with_context:
-        kwargs["ctx"] = JobContext(
-            job_id=spec.job_id, attempt=0, checkpoint_path=spec.checkpoint_path
-        )
-    try:
-        value = spec.fn(*spec.args, **kwargs)
-        state, error = DONE, None
-    except JobCancelled as exc:
-        state, error, value = CANCELLED, f"cancelled: {exc}", None
-    except Exception:
-        import traceback
-
-        state, error, value = FAILED, traceback.format_exc(), None
-    return JobResult(
-        job_id=spec.job_id,
-        state=state,
-        value=value,
-        error=error,
-        attempts=1,
-        elapsed=time.monotonic() - t0,
-        index=spec.index,
-    )
-
-
 def run_jobs(
     specs,
     max_workers: int = 1,
@@ -581,45 +635,13 @@ def run_jobs(
     metrics=NULL,
     mp_context=None,
 ) -> list:
-    """Run ``specs`` supervised, degrading gracefully, results in order.
+    """Run ``specs`` on one :class:`Supervisor`; results in order.
 
-    The ladder: a normal :class:`Supervisor` first; if it breaks (its
-    own machinery, never a job), a **fresh supervisor** takes over the
-    unfinished jobs; if that breaks too, the remainder runs
-    **in-process sequentially**.  Each step emits a ``job.degrade``
-    event, so a degraded sweep is visible in telemetry rather than
-    silently slower.
+    A :class:`SupervisorError` (the supervisor's own machinery, never a
+    job) propagates to the caller.
     """
-    specs = list(specs)
     cfg = config if config is not None else SupervisorConfig(
         max_workers=max_workers
     )
-    results: dict = {}
-    remaining = specs
-    for rung in ("supervisor", "fresh-supervisor"):
-        if not remaining:
-            break
-        sup = Supervisor(cfg, metrics=metrics, mp_context=mp_context)
-        try:
-            for result in sup.run(remaining):
-                results[result.job_id] = result
-            remaining = []
-        except SupervisorError as exc:
-            for result in sup.results():
-                results[result.job_id] = result
-            remaining = [s for s in remaining if s.job_id not in results]
-            next_rung = (
-                "fresh-supervisor" if rung == "supervisor" else "in-process"
-            )
-            if metrics.enabled:
-                metrics.emit("job.degrade", rung=next_rung, reason=str(exc))
-            logger.error(
-                "supervisor broke (%s); degrading to %s for %d jobs",
-                exc, next_rung, len(remaining),
-            )
-        finally:
-            sup.close()
-    if remaining:
-        for spec in remaining:
-            results[spec.job_id] = run_job_in_process(spec)
-    return [results[s.job_id] for s in specs]
+    with Supervisor(cfg, metrics=metrics, mp_context=mp_context) as sup:
+        return sup.run(specs)

@@ -103,25 +103,15 @@ def read_result(workdir: str):
         return None
 
 
-def worker_main(
-    spec: JobSpec, attempt: int, workdir: str, heartbeat_interval: float
-) -> None:
-    """Process entry point: run one attempt of ``spec`` to completion.
+def run_attempt(spec: JobSpec, attempt: int, beat) -> dict:
+    """Run one attempt of ``spec`` with ``beat`` as the heartbeat handler.
 
-    Never raises (the process exit code stays 0 for every cooperative
-    outcome); the result file carries ``state`` = ``done`` | ``failed``
-    | ``cancelled`` plus the value or traceback.  Involuntary deaths
-    (SIGKILL, hard timeouts) leave no result file at all — that is the
-    supervisor's crash signal.
+    Never raises: returns the outcome ``{"state", "value", "error"}``
+    with ``state`` = ``done`` | ``failed`` | ``cancelled`` plus the
+    value or traceback.  Shared by worker processes and the
+    supervisor's inline mode, whose ``beat`` polls a cancel event.
     """
-    runtime = WorkerRuntime(workdir, interval=heartbeat_interval)
-    heartbeat.set_handler(runtime.beat)
-    try:
-        signal.signal(signal.SIGTERM, runtime.handle_sigterm)
-    except ValueError:  # pragma: no cover — non-main-thread embedding
-        pass
-    runtime.beat(force=True)
-
+    heartbeat.set_handler(beat)
     injector = None
     plans = faults.plans_for_attempt(spec.fault_plans, attempt)
     if plans:
@@ -148,4 +138,20 @@ def worker_main(
         if injector is not None:
             faults.uninstall()
         heartbeat.clear_handler()
-    write_result(workdir, {"state": state, "value": value, "error": error})
+    return {"state": state, "value": value, "error": error}
+
+
+def worker_main(
+    spec: JobSpec, attempt: int, workdir: str, heartbeat_interval: float
+) -> None:
+    """Process entry point: run one attempt of ``spec`` to completion.
+
+    Never raises (the process exit code stays 0 for every cooperative
+    outcome); the result file carries the :func:`run_attempt`
+    outcome.  Involuntary deaths (SIGKILL, hard timeouts) leave no
+    result file at all — that is the supervisor's crash signal.
+    """
+    runtime = WorkerRuntime(workdir, interval=heartbeat_interval)
+    signal.signal(signal.SIGTERM, runtime.handle_sigterm)
+    runtime.beat(force=True)
+    write_result(workdir, run_attempt(spec, attempt, runtime.beat))

@@ -83,7 +83,7 @@ class ServiceClient:
         return self._request("GET", "/health")[1]
 
     def stats(self) -> dict:
-        """Queue counts, cache hit rates, execution mode."""
+        """Queue counts, cache hit rates, worker count."""
         return self._request("GET", "/stats")[1]
 
     def submit(self, request: dict, kind: str = "place", priority: int = 0,

@@ -20,7 +20,7 @@ re-parsing their input design.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 # ----------------------------------------------------------------------
@@ -566,6 +566,62 @@ CLIENT_ECO_FIELDS = (
 )
 
 
+def _check_grid(dim: int) -> None:
+    if dim < 0:
+        raise ValueError("grid must be >= 0 (0 sizes it from the design)")
+
+
+def _field_binders() -> dict:
+    """Request field -> callable that binds a value onto its config.
+
+    Each callable raises the config's own ``ValueError`` for a value
+    the flow would reject once the job runs.
+    """
+    from repro.core import RDConfig
+    from repro.eco import EcoConfig
+    from repro.place import GPConfig
+    from repro.utils.contracts import ContractChecker
+
+    return {
+        "iters": lambda v: GPConfig(max_iters=v),
+        "rounds": lambda v: RDConfig(max_rounds=v),
+        "iters_per_round": lambda v: RDConfig(iters_per_round=v),
+        "halo": lambda v: EcoConfig(halo_bins=v),
+        "grid": _check_grid,
+        "check_invariants": ContractChecker,
+    }
+
+
+def _check_request_values(request_cls: type, request: dict) -> None:
+    """Type-check client request values and bind them onto the configs.
+
+    The expected type is the request field's annotation (``None`` is
+    accepted where that field defaults to ``None``); a JSON ``true`` is
+    not an int here, and ``1`` is not a bool.  ``overrides`` has its own
+    check.
+    """
+    binders = _field_binders()
+    for f in fields(request_cls):
+        if f.name not in request or f.name == "overrides":
+            continue
+        value = request[f.name]
+        if value is None and f.default is None:
+            continue
+        expected = {"str": str, "bool": bool, "int": int}[f.type.split(" |")[0]]
+        if type(value) is not expected:
+            raise ValueError(
+                f"request field {f.name!r} must be of type "
+                f"{expected.__name__}, got {value!r}"
+            )
+        if f.name in binders:
+            try:
+                binders[f.name](value)
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad request field {f.name!r}: {exc}"
+                ) from exc
+
+
 @dataclass
 class _RequestShape:
     """Internal: how one job kind maps payloads to runner calls."""
@@ -586,8 +642,10 @@ def _shapes() -> dict:
 def validate_job_payload(payload: dict) -> str:
     """Check a submitted job payload; returns its kind or raises.
 
-    Raised :class:`ValueError` messages are what the HTTP API returns
-    as 400 bodies, so they name the offending field.
+    Field names, value types and ranges are all checked here, so a bad
+    request fails at submit rather than when its job runs.  Raised
+    :class:`ValueError` messages are what the HTTP API returns as 400
+    bodies, so they name the offending field.
     """
     if not isinstance(payload, dict):
         raise ValueError("job payload must be an object")
@@ -608,6 +666,7 @@ def validate_job_payload(payload: dict) -> str:
         raise ValueError(
             f"unknown request field(s) for kind {kind!r}: {', '.join(unknown)}"
         )
+    _check_request_values(shapes[kind].request_cls, request)
     overrides = request.get("overrides")
     if overrides is not None:
         from repro.dse.grid import validate_knobs

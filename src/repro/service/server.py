@@ -9,14 +9,13 @@ One :class:`PlacementService` owns a service root directory::
                             (+ .bak), metrics.jsonl
 
 Jobs are accepted over a local HTTP API (JSON in, JSON out), ordered
-by the persistent priority queue, and executed by the supervised job
-runtime — one worker process per job (``execution="supervised"``, the
-default: deadlines, heartbeats, retry-with-resume all enforced by
-:class:`~repro.jobs.supervisor.Supervisor`) or inline in the daemon
-process (``execution="inline"``: no process isolation, but jobs share
-the daemon's warm netlist and spectral-workspace caches, and a daemon
-death takes the running job down with it — which is exactly what the
-chaos suite exercises).
+by the persistent priority queue, and executed by the job runtime's
+:class:`~repro.jobs.supervisor.Supervisor` — one worker process per
+job (``max_workers >= 1``: deadlines, heartbeats, retry-with-resume
+all enforced) or inline in the daemon process (``max_workers=0``: no
+process isolation, but jobs share the daemon's warm netlist and
+spectral-workspace caches, and a daemon death takes the running job
+down with it — which is exactly what the chaos suite exercises).
 
 Crash recovery is rescan-based: every queue mutation is persisted
 atomically before it is visible, each flow checkpoints with a ``.bak``
@@ -38,21 +37,13 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.jobs.spec import (
-    JobContext,
-    JobSpec,
-)
-from repro.jobs.spec import (
-    CANCELLED as JOB_CANCELLED,
-)
-from repro.jobs.spec import (
-    DONE as JOB_DONE,
-)
+from repro.jobs.spec import CANCELLED as JOB_CANCELLED
+from repro.jobs.spec import DONE as JOB_DONE
+from repro.jobs.spec import JobSpec
 from repro.jobs.supervisor import Supervisor, SupervisorConfig
 from repro.service.cache import ServiceCache
 from repro.service.queue import (
@@ -88,14 +79,13 @@ class ServiceConfig:
         Bind address; port 0 picks a free port (read the resolved one
         from ``<root>/service.json``).
     max_workers:
-        Concurrent supervised worker processes.
-    execution:
-        ``"supervised"`` (worker process per job) or ``"inline"``
-        (jobs run serially in the daemon process, sharing its warm
-        caches; no process isolation).
+        Concurrent supervised worker processes; ``0`` runs jobs
+        serially inside the daemon process, sharing its warm caches
+        (no process isolation).
     job_timeout / heartbeat_timeout / max_retries:
         Supervision policy forwarded to the job runtime (see
-        :class:`~repro.jobs.supervisor.SupervisorConfig`).
+        :class:`~repro.jobs.supervisor.SupervisorConfig`); the two
+        deadlines are rejected with ``max_workers=0``.
     poll_interval:
         Scheduler tick period in seconds.
     paused:
@@ -108,7 +98,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0
     max_workers: int = 1
-    execution: str = "supervised"
     job_timeout: float | None = None
     heartbeat_timeout: float | None = None
     max_retries: int = 1
@@ -119,9 +108,9 @@ class ServiceConfig:
 class _LockedMetrics:
     """Thread-safe facade over a :class:`MetricsRegistry`.
 
-    The daemon's stream is written from HTTP handler threads, the
-    scheduler thread and (supervised mode) the supervisor's emissions
-    inside scheduler ticks; one lock keeps ``seq`` contiguous.  Emits
+    The daemon's stream is written from HTTP handler threads and the
+    scheduler thread (the supervisor's emissions inside scheduler
+    ticks); one lock keeps ``seq`` contiguous.  Emits
     after :meth:`close` are dropped (a late handler thread must not
     raise into a shutdown).
     """
@@ -183,6 +172,12 @@ class PlacementService:
 
     def __init__(self, config: ServiceConfig):
         self.config = config
+        self._supervisor_config = SupervisorConfig(
+            max_workers=config.max_workers,
+            timeout=config.job_timeout,
+            heartbeat_timeout=config.heartbeat_timeout,
+            max_retries=config.max_retries,
+        )
         self.root = os.path.abspath(config.root)
         self.jobs_dir = os.path.join(self.root, "jobs")
         os.makedirs(self.jobs_dir, exist_ok=True)
@@ -204,9 +199,6 @@ class PlacementService:
         self._stop_lock = threading.Lock()
         self._cancel_lock = threading.Lock()
         self._cancel_intents: set = set()
-        self._inline_cancel: threading.Event | None = None
-        self._inline_job: str | None = None
-        self._draining = False
         self._supervisor: Supervisor | None = None
         self._active: set = set()
         self._httpd = None
@@ -234,20 +226,9 @@ class PlacementService:
                 "re-queued %d interrupted job(s): %s",
                 len(requeued), ", ".join(e.job_id for e in requeued),
             )
-        if self.config.execution == "supervised":
-            self._supervisor = Supervisor(
-                SupervisorConfig(
-                    max_workers=self.config.max_workers,
-                    timeout=self.config.job_timeout,
-                    heartbeat_timeout=self.config.heartbeat_timeout,
-                    max_retries=self.config.max_retries,
-                ),
-                metrics=self.metrics,
-            )
-        elif self.config.execution != "inline":
-            raise ValueError(
-                f"unknown execution mode {self.config.execution!r}"
-            )
+        self._supervisor = Supervisor(
+            self._supervisor_config, metrics=self.metrics
+        )
         self._httpd = ThreadingHTTPServer(
             (self.config.host, self.config.port), _Handler
         )
@@ -263,9 +244,10 @@ class PlacementService:
             address=f"{self.address[0]}:{self.address[1]}",
         )
         logger.info(
-            "placement service listening on %s:%d (root %s, %s execution)",
+            "placement service listening on %s:%d (root %s, %s)",
             self.address[0], self.address[1], self.root,
-            self.config.execution,
+            f"{self.config.max_workers} workers"
+            if self.config.max_workers else "inline",
         )
         self._http_thread = threading.Thread(
             target=self._httpd.serve_forever, daemon=True,
@@ -297,11 +279,7 @@ class PlacementService:
             if self._stopped:
                 return
             self._stopped = True
-        self._draining = True
         self._stop.set()
-        cancel = self._inline_cancel
-        if cancel is not None:
-            cancel.set()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -390,10 +368,10 @@ class PlacementService:
     def request_cancel(self, job_id: str):
         """Request cancellation of one job; returns its (current) entry.
 
-        Queued jobs are cancelled by the next scheduler tick; running
-        supervised jobs get the runtime's cooperative-then-forced
-        escalation; a running inline job is interrupted at its next
-        progress beat.
+        The next scheduler tick cancels a queued job, or hands a running
+        one to the supervisor: worker processes get its
+        cooperative-then-forced escalation, an inline job is
+        interrupted at its next progress beat.
         """
         entry = self.queue.get(job_id)
         if entry is None:
@@ -402,9 +380,6 @@ class PlacementService:
             return entry
         with self._cancel_lock:
             self._cancel_intents.add(job_id)
-            if self._inline_job == job_id and self._inline_cancel is not None:
-                self.metrics.emit("job.cancel", job=job_id)
-                self._inline_cancel.set()
         return entry
 
     def stats(self) -> dict:
@@ -412,7 +387,7 @@ class PlacementService:
         return {
             "queue": self.queue.counts(),
             "cache": self.cache.stats(),
-            "execution": self.config.execution,
+            "max_workers": self.config.max_workers,
             "paused": self._paused,
             "pid": os.getpid(),
         }
@@ -435,13 +410,6 @@ class PlacementService:
         return intents
 
     def _tick(self) -> None:
-        if self._supervisor is not None:
-            self._tick_supervised()
-        else:
-            self._tick_inline()
-
-    # -- supervised ----------------------------------------------------
-    def _tick_supervised(self) -> None:
         sup = self._supervisor
         for job_id in self._take_cancel_intents():
             entry = self.queue.get(job_id)
@@ -452,7 +420,7 @@ class PlacementService:
             elif entry.state == QUEUED:
                 self._cancel_queued(entry)
         if not self._paused:
-            while len(self._active) < self.config.max_workers:
+            while len(self._active) < max(1, self.config.max_workers):
                 entry = self.queue.next_ready()
                 if entry is None:
                     break
@@ -486,14 +454,15 @@ class PlacementService:
 
     def _admit(self, entry) -> None:
         request = entry.payload["request"]
+        # inline jobs share the daemon's warm netlist cache; a worker
+        # process has its own memory, so it would only pickle a copy
+        kwargs = {"cache": self.cache} if self._supervisor.inline else {}
         spec = JobSpec(
             job_id=entry.job_id,
             fn=execute_service_job,
             args=(entry.payload,),
+            kwargs=kwargs,
             with_context=True,
-            timeout=self.config.job_timeout,
-            heartbeat_timeout=self.config.heartbeat_timeout,
-            max_retries=self.config.max_retries,
             checkpoint_path=request.get("checkpoint"),
             index=entry.seq,
         )
@@ -508,83 +477,6 @@ class PlacementService:
         self.queue.update(
             entry, state=CANCELLED, job_state=JOB_CANCELLED,
             error="cancelled before start",
-        )
-
-    # -- inline --------------------------------------------------------
-    def _tick_inline(self) -> None:
-        from repro.utils import heartbeat
-
-        for job_id in self._take_cancel_intents():
-            entry = self.queue.get(job_id)
-            if entry is not None and entry.state == QUEUED:
-                self._cancel_queued(entry)
-        if self._paused:
-            return
-        entry = self.queue.next_ready()
-        if entry is None:
-            return
-        attempt = entry.attempts
-        cancel = threading.Event()
-        with self._cancel_lock:
-            self._inline_job = entry.job_id
-            self._inline_cancel = cancel
-        self.queue.update(
-            entry, state=RUNNING, attempts=attempt + 1,
-            worker_pid=os.getpid(),
-        )
-        self.metrics.emit(
-            "job.start", job=entry.job_id, attempt=attempt, pid=os.getpid()
-        )
-
-        def on_beat() -> None:
-            if cancel.is_set():
-                from repro.jobs.spec import JobCancelled
-
-                raise JobCancelled("service cancel")
-
-        ctx = JobContext(
-            job_id=entry.job_id,
-            attempt=attempt,
-            checkpoint_path=entry.payload["request"].get("checkpoint"),
-        )
-        t0 = time.monotonic()
-        heartbeat.set_handler(on_beat)
-        try:
-            value = execute_service_job(
-                entry.payload, ctx=ctx, cache=self.cache
-            )
-            state, job_state, error = DONE, JOB_DONE, None
-        except BaseException as exc:
-            from repro.jobs.spec import FAILED as JOB_FAILED, JobCancelled
-
-            if isinstance(exc, JobCancelled):
-                state, job_state = CANCELLED, JOB_CANCELLED
-                error, value = f"cancelled: {exc}", None
-            else:
-                import traceback
-
-                state, job_state = FAILED, JOB_FAILED
-                error, value = traceback.format_exc(), None
-        finally:
-            heartbeat.clear_handler()
-            with self._cancel_lock:
-                self._inline_job = None
-                self._inline_cancel = None
-        if state == CANCELLED and self._draining:
-            # shutdown drain, not a user cancel: back to the queue so
-            # the next daemon warm-starts it from the checkpoint
-            self.queue.update(
-                entry, state=QUEUED, resume=True, worker_pid=None
-            )
-        else:
-            self.queue.update(
-                entry, state=state, job_state=job_state, error=error,
-                result=value if isinstance(value, dict) else None,
-                worker_pid=None,
-            )
-        self.metrics.emit(
-            "job.end", job=entry.job_id, attempt=attempt, state=job_state,
-            elapsed_s=time.monotonic() - t0,
         )
 
 

@@ -75,6 +75,8 @@ EVENT_FIELDS: dict = {
     "job.crashed": ("job", "attempt", "exitcode"),
     "job.retry": ("job", "attempt", "backoff_s", "resume"),
     "job.cancel": ("job",),
+    # retired with the degradation ladder (nothing emits it); kept so
+    # older streams still validate
     "job.degrade": ("rung", "reason"),
     # placement-as-a-service daemon lifecycle (see repro.service) —
     # emitted into the daemon's own service.jsonl stream, never into a

@@ -173,6 +173,32 @@ class TestSupervisedIdentity:
                    for r in sup.runs)
 
 
+class TestSupervisionFlags:
+    """Supervision depends on ``jobs`` alone; unenforceable flags fail."""
+
+    def test_single_design_with_jobs_is_supervised(self):
+        result = run_sweep(DESIGNS[:1], kind="table1", jobs=2, **FAST)
+        assert [r.job_state for r in result.runs] == ["done"]
+        starts = [e for e in result.supervisor_events
+                  if e["kind"] == "job.start"]
+        assert [s["job"] for s in starts] == ["des_perf_1@0"]
+
+    @pytest.mark.parametrize("flag", ["job_timeout", "heartbeat_timeout"])
+    def test_deadline_without_workers_rejected(self, flag):
+        with pytest.raises(ValueError, match=f"{flag} needs jobs > 1"):
+            run_sweep(DESIGNS[:1], kind="table1", jobs=1, **{flag: 5.0},
+                      **FAST)
+
+    @pytest.mark.parametrize("flag", ["--job-timeout", "--heartbeat-timeout"])
+    def test_cli_deadline_without_workers_exits(self, flag):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--jobs", "1", flag, "5", "--designs",
+                  "des_perf_1", "--scale", "0.12"])
+        assert "needs jobs > 1" in str(exc.value.code)
+
+
 @pytest.mark.faultinject
 class TestInProcessFaults:
     def test_jobs1_fault_is_isolated_and_uninstalled(self):

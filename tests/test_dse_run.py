@@ -87,6 +87,11 @@ class TestRunGrid:
         assert len(result.errors) == 1
         assert "NoSuchPlacer" in result.errors[0][1]
 
+    @pytest.mark.parametrize("flag", ["job_timeout", "heartbeat_timeout"])
+    def test_deadline_without_workers_rejected(self, flag):
+        with pytest.raises(ValueError, match=f"{flag} needs jobs > 1"):
+            run_grid(parse_spec(RAW), jobs=1, **{flag: 5.0})
+
     def test_run_unit_respects_knobs(self, inprocess_result):
         result, _ = inprocess_result
         payload = run_unit(result.units[0])
@@ -115,6 +120,16 @@ class TestCli:
         assert main(["dse", "report", "--db", str(db),
                      "--out", str(tmp_path / "rep")]) == 0
         assert (tmp_path / "rep" / "index.html").exists()
+
+
+    def test_deadline_without_workers_exits(self, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(RAW))
+        with pytest.raises(SystemExit) as exc:
+            main(["dse", "run", "--grid", str(grid), "--jobs", "1",
+                  "--job-timeout", "5", "--out-dir", str(tmp_path / "out")])
+        assert "needs jobs > 1" in str(exc.value.code)
+        assert not (tmp_path / "out").exists()
 
 
 class TestServiceOverrides:
@@ -154,6 +169,60 @@ class TestServiceOverrides:
             "input": "x.bl", "routability": True, "overrides": overrides}}
         with pytest.raises(ValueError, match="bad 'overrides': invalid knob value"):
             validate_job_payload(payload)
+
+    @pytest.mark.parametrize("kind, fields, name", [
+        ("place", {"iters": 0}, "iters"),
+        ("place", {"routability": True, "rounds": 0}, "rounds"),
+        ("place", {"routability": True, "iters_per_round": 0},
+         "iters_per_round"),
+        ("place", {"iters": "abc"}, "iters"),
+        ("place", {"iters": True}, "iters"),
+        ("place", {"routability": "yes"}, "routability"),
+        ("place", {"check_invariants": "loud"}, "check_invariants"),
+        ("route", {"grid": -3}, "grid"),
+        ("route", {"grid": 2.5}, "grid"),
+        ("eco", {"baseline": "b.bl", "halo": -2}, "halo"),
+        ("eco", {"baseline": "b.bl", "compare": 1}, "compare"),
+        ("eco", {"baseline": "b.bl", "baseline_checkpoint": 7},
+         "baseline_checkpoint"),
+    ])
+    def test_payload_validation_rejects_bad_request_values(
+        self, kind, fields, name
+    ):
+        from repro.service.runner import validate_job_payload
+
+        payload = {"kind": kind, "request": {"input": "x.bl", **fields}}
+        with pytest.raises(ValueError, match=f"request field '{name}'"):
+            validate_job_payload(payload)
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("place", {"iters": 1, "routability": False, "rounds": None,
+                   "iters_per_round": None, "check_invariants": None}),
+        ("place", {"routability": True, "rounds": 1, "iters_per_round": 1,
+                   "check_invariants": "raise"}),
+        ("route", {"grid": 0}),
+        ("eco", {"baseline": "b.bl", "halo": 0, "compare": True,
+                 "baseline_checkpoint": None}),
+    ])
+    def test_payload_validation_accepts_good_request_values(self, kind, fields):
+        from repro.service.runner import validate_job_payload
+
+        payload = {"kind": kind, "request": {"input": "x.bl", **fields}}
+        assert validate_job_payload(payload) == kind
+
+    @pytest.mark.service
+    def test_bad_request_value_is_a_400_naming_the_field(self, tmp_path):
+        from repro.service import PlacementService, ServiceClient, ServiceConfig
+        from repro.service.client import ServiceError
+
+        root = str(tmp_path / "service")
+        config = ServiceConfig(root=root, max_workers=0, paused=True)
+        with PlacementService(config) as service:
+            with pytest.raises(ServiceError) as err:
+                ServiceClient(root=root).submit({"input": "x.bl", "iters": 0})
+            assert service.queue.entries() == []
+        assert err.value.status == 400
+        assert "request field 'iters'" in str(err.value)
 
     def test_route_request_has_no_engine_field(self):
         from repro.service.runner import validate_job_payload

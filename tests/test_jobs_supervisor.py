@@ -1,4 +1,4 @@
-"""Supervised job runtime: lifecycle, deadlines, retries, degradation.
+"""Supervised job runtime: lifecycle, deadlines, retries, inline mode.
 
 Unit-level tests of :mod:`repro.jobs` using tiny module-level job
 functions (no placement flows — the chaos tests in
@@ -8,6 +8,8 @@ functions (no placement flows — the chaos tests in
 from __future__ import annotations
 
 import json
+import os
+import threading
 import time
 
 import pytest
@@ -25,7 +27,6 @@ from repro.jobs import (
     SupervisorConfig,
     SupervisorError,
     compute_backoff,
-    run_job_in_process,
     run_jobs,
 )
 from repro.utils import heartbeat
@@ -299,32 +300,32 @@ class TestDegradation:
         def get_context(self):  # pragma: no cover — API compat shim
             return self
 
-    def test_broken_supervisor_degrades_to_in_process(self):
+    def test_broken_mp_context_raises_from_run_jobs(self):
+        """No ladder: a supervisor that cannot start workers is loud."""
         sink = MemorySink()
         metrics = MetricsRegistry(sink=sink)
         metrics.start_run(command="test")
-        results = run_jobs(
-            [
-                JobSpec("a", fn=job_double, args=(2,), index=0),
-                JobSpec("b", fn=job_double, args=(3,), index=1),
-            ],
-            config=SupervisorConfig(**FAST),
-            metrics=metrics,
-            mp_context=self._BrokenContext(),
-        )
+        with pytest.raises(SupervisorError, match="cannot start worker"):
+            run_jobs(
+                [
+                    JobSpec("a", fn=job_double, args=(2,), index=0),
+                    JobSpec("b", fn=job_double, args=(3,), index=1),
+                ],
+                config=SupervisorConfig(**FAST),
+                metrics=metrics,
+                mp_context=self._BrokenContext(),
+            )
         metrics.close()
-        # every rung failed to spawn; the last rung still ran the jobs
-        assert [r.value for r in results] == [4, 6]
-        assert all(r.state == DONE for r in results)
-        rungs = [e["rung"] for e in metrics.series.get("job.degrade", [])]
-        assert rungs == ["fresh-supervisor", "in-process"]
+        assert "job.degrade" not in metrics.series
         validate_stream([json.loads(line) for line in sink.lines])
 
-    def test_run_job_in_process_captures_failure(self):
-        result = run_job_in_process(JobSpec("x", fn=job_raise, args=(1,)))
-        assert result.state == FAILED and "deliberate" in result.error
-        ok = run_job_in_process(JobSpec("y", fn=job_double, args=(4,)))
-        assert ok.state == DONE and ok.value == 8
+    def test_retired_degrade_event_still_validates(self):
+        """Older streams that carry ``job.degrade`` stay readable."""
+        validate_stream([
+            {"v": 2, "seq": 0, "kind": "run.start", "command": "test"},
+            {"v": 2, "seq": 1, "kind": "job.degrade", "rung": "in-process",
+             "reason": "no processes"},
+        ])
 
     def test_supervisor_error_is_raised_not_swallowed(self):
         sup = Supervisor(SupervisorConfig(**FAST), mp_context=self._BrokenContext())
@@ -333,3 +334,95 @@ class TestDegradation:
                 sup.run([JobSpec("x", fn=job_double, args=(1,))])
         finally:
             sup.close()
+
+
+def job_pid_and_arg(obj):
+    """Reports the process it ran in and echoes its argument."""
+    return os.getpid(), obj
+
+
+class TestInlineMode:
+    """``max_workers=0``: jobs run one at a time on a helper thread."""
+
+    INLINE = dict(max_workers=0, poll_interval=0.01)
+
+    def test_done_failed_and_order(self):
+        sink = MemorySink()
+        metrics = MetricsRegistry(sink=sink)
+        metrics.start_run(command="test")
+        results = run_jobs(
+            [
+                JobSpec("a", fn=job_double, args=(3,), index=0),
+                JobSpec("b", fn=job_raise, args=(1,), index=1),
+                JobSpec("c", fn=job_with_ctx, args=(7,), with_context=True,
+                        index=2),
+            ],
+            config=SupervisorConfig(**self.INLINE),
+            metrics=metrics,
+        )
+        metrics.close()
+        assert [r.state for r in results] == [DONE, FAILED, DONE]
+        assert results[0].value == 6
+        assert "deliberate failure" in results[1].error
+        assert results[2].value["attempt"] == 0
+        kinds = [json.loads(line)["kind"] for line in sink.lines]
+        assert kinds.count("job.submit") == kinds.count("job.end") == 3
+        validate_stream([json.loads(line) for line in sink.lines])
+
+    def test_job_shares_this_process(self):
+        """Inline kwargs need not pickle: the job gets the object itself."""
+        lock = threading.Lock()
+        results = run_jobs(
+            [JobSpec("p", fn=job_pid_and_arg, kwargs={"obj": lock})],
+            config=SupervisorConfig(**self.INLINE),
+        )
+        assert results[0].value == (os.getpid(), lock)
+
+    def test_one_job_at_a_time(self):
+        with Supervisor(SupervisorConfig(**self.INLINE)) as sup:
+            sup.submit(JobSpec("a", fn=job_sleep_beating, args=(0.3,)))
+            sup.submit(JobSpec("b", fn=job_double, args=(1,)))
+            sup.poll()
+            assert sup.job_state("a") == "running"
+            assert sup.job_state("b") == "pending"
+            results = sup.wait()
+        assert [r.state for r in results] == [DONE, DONE]
+
+    def test_cancel_lands_at_next_beat(self):
+        sink = MemorySink()
+        metrics = MetricsRegistry(sink=sink)
+        metrics.start_run(command="test")
+        with Supervisor(SupervisorConfig(**self.INLINE), metrics=metrics) as sup:
+            sup.submit(JobSpec("long", fn=job_sleep_beating, args=(30.0,)))
+            sup.poll()
+            assert sup.worker_pid("long") == os.getpid()
+            t0 = time.monotonic()
+            sup.cancel("long")
+            results = sup.wait()
+            assert time.monotonic() - t0 < 5.0
+        metrics.close()
+        assert results[0].state == CANCELLED
+        assert len(metrics.series["job.cancel"]) == 1
+        assert heartbeat.active() is None
+
+    def test_close_stops_running_job(self):
+        sup = Supervisor(SupervisorConfig(**self.INLINE))
+        sup.submit(JobSpec("long", fn=job_sleep_beating, args=(30.0,)))
+        sup.poll()
+        thread = sup._jobs["long"].proc._thread
+        sup.close()
+        assert not thread.is_alive()
+        assert heartbeat.active() is None
+
+    @pytest.mark.parametrize("field", ["timeout", "heartbeat_timeout"])
+    def test_deadlines_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} cannot be enforced"):
+            SupervisorConfig(max_workers=0, **{field: 1.0})
+        with Supervisor(SupervisorConfig(**self.INLINE)) as sup:
+            with pytest.raises(ValueError, match=f"{field} cannot be enforced"):
+                sup.submit(JobSpec("x", fn=job_double, args=(1,),
+                                   **{field: 1.0}))
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            SupervisorConfig(max_workers=-1)

@@ -55,14 +55,14 @@ def make_design(path, congested: bool = False) -> str:
 
 
 def spawn_daemon(root: str, logfile) -> subprocess.Popen:
-    """Start ``repro serve`` (inline execution) as a real subprocess."""
+    """Start ``repro serve --max-workers 0`` (inline) as a subprocess."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--root", root, "--execution", "inline"],
+         "--root", root, "--max-workers", "0"],
         env=env, stdout=logfile, stderr=logfile,
     )
 

@@ -84,7 +84,7 @@ class TestServiceConformance:
 
         root = str(tmp_path / "service")
         config = ServiceConfig(
-            root=root, execution="supervised", poll_interval=0.02
+            root=root, poll_interval=0.02
         )
         with PlacementService(config):
             client = ServiceClient(root=root)
@@ -115,7 +115,7 @@ class TestServiceConformance:
         design = make_design(str(tmp_path / "design.bl"), seed=3)
         root = str(tmp_path / "service")
         config = ServiceConfig(
-            root=root, execution="inline", poll_interval=0.02
+            root=root, max_workers=0, poll_interval=0.02
         )
         with PlacementService(config) as service:
             client = ServiceClient(root=root)
@@ -153,7 +153,7 @@ class TestServiceConformance:
         )
         root = str(tmp_path / "service")
         config = ServiceConfig(
-            root=root, execution="supervised", poll_interval=0.02
+            root=root, poll_interval=0.02
         )
         with PlacementService(config):
             client = ServiceClient(root=root)

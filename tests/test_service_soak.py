@@ -49,7 +49,7 @@ class TestSoak:
         design = make_design(tmp_path / "design.bl")
         root = str(tmp_path / "service")
         config = ServiceConfig(
-            root=root, execution="supervised", max_workers=2,
+            root=root, max_workers=2,
             poll_interval=0.02,
         )
         per_client = 3
@@ -112,7 +112,7 @@ class TestSoak:
         design = make_design(tmp_path / "design.bl", n_cells=60, seed=2)
         root = str(tmp_path / "service")
         config = ServiceConfig(
-            root=root, execution="supervised", max_workers=1,
+            root=root, max_workers=1,
             poll_interval=0.02, paused=True,
         )
         priorities = [0, 5, -1, 5, 0]
@@ -144,7 +144,7 @@ class TestSoak:
         design = make_design(tmp_path / "design.bl")
         root = str(tmp_path / "service")
         config = ServiceConfig(
-            root=root, execution="supervised", max_workers=1,
+            root=root, max_workers=1,
             poll_interval=0.02, paused=True,
         )
         with PlacementService(config) as service:
